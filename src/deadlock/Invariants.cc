@@ -135,7 +135,17 @@ auditNetwork(Network &net)
                     }
                 }
 
-                // 4. Freeze bookkeeping matches the SpinUnit.
+                // 4. A parked head has nothing to wake for: every
+                //    output change that could let it move would have
+                //    moved the router's generation.
+                if (rt.parkingStale(p, v)) {
+                    report(rep, "R", r, " in", p, " vc", v,
+                           " parked while re-routing would act (idle "
+                           "allowed VC at a candidate port, or target "
+                           "unreachable)");
+                }
+
+                // 5. Freeze bookkeeping matches the SpinUnit.
                 if (vc.frozen) {
                     ++frozen_found;
                     if (!su) {

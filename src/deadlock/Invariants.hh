@@ -6,8 +6,9 @@
  * state the simulator maintains redundantly: upstream credit counters
  * against downstream buffer occupancy (including credits in flight),
  * VC allocation ownership against resident packets, frozen-VC
- * bookkeeping against SPIN's victim contexts, and conservation of
- * flits (created = in queues + in buffers + in flight + ejected).
+ * bookkeeping against SPIN's victim contexts, parked heads against
+ * their routers' output VCs, and conservation of flits (created = in
+ * queues + in buffers + in flight + ejected).
  *
  * Tests call this after stress runs; it is also handy interactively
  * when extending the router. Violations are returned as messages, not

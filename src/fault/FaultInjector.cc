@@ -108,6 +108,10 @@ FaultInjector::tick(Cycle now)
         noteApplied(e, now);
         ++nextIdx_;
     }
+    // Routing reads the fault state (alive ports, degraded tables), so
+    // every parked head must re-route once it changes.
+    for (RouterId r = 0; r < net_.numRouters(); ++r)
+        net_.router(r).noteOutputChange();
 
     if (permanentApplied) {
         anyPermanent_ = true;

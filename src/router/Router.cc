@@ -1,5 +1,6 @@
 #include "router/Router.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/Logging.hh"
@@ -87,6 +88,8 @@ Router::receiveCredit(PortId outport, VcId vcid, bool is_free)
     if (dead_)
         return;
     outputs_[outport].onCredit(vcid, is_free, net_.now());
+    if (is_free)
+        noteOutputChange();
 }
 
 void
@@ -116,6 +119,19 @@ Router::markDead(Cycle now)
         spin_->abortForFault(now);
 }
 
+/*
+ * Parking. A blocked head whose candidate ports offer no allowed VC
+ * that is idle or was activated this cycle (select()'s t_active == 0)
+ * is parked at the current output-change generation and skipped until
+ * the generation moves. Re-running its route in between would be a
+ * no-op: select() draws nothing from the rng without a t_active == 0
+ * VC, the request hysteresis in routeVc() keeps the old request (it is
+ * still a candidate and no port has an idle VC), and allocation finds
+ * no idle VC. Every event that can create such a VC here -- a free
+ * credit, a grant (Static Bubble's reserved grant included), a SPIN
+ * forced allocation -- and every fault-state change moves the
+ * generation (noteOutputChange()), so skipping is exact.
+ */
 void
 Router::computeRoutes()
 {
@@ -131,13 +147,75 @@ Router::computeRoutes()
                 continue;
             if (vc.grantedVc != kInvalidId)
                 continue; // committed; waiting only on switch/credits
+            if (vc.parkedGen == outGen_)
+                continue; // parked: nothing it could take has changed
             if (!routeVc(inport, v)) {
                 purgeUnroutable(inport, v);
                 continue;
             }
             tryVcAllocation(inport, v);
+            // Ejecting heads are always granted; escape packets skip
+            // candidates() and so never park.
+            const Packet &pkt = *vc.owner();
+            if (vc.grantedVc != kInvalidId || onBubbleEscape(pkt))
+                continue;
+            if (std::ranges::none_of(scratchPorts_, [&](PortId c) {
+                    return hasIdleAllowedVc(pkt, c, true);
+                }))
+                vc.parkedGen = outGen_;
         }
     }
+}
+
+bool
+Router::onBubbleEscape(const Packet &pkt) const
+{
+    return net_.config().scheme == DeadlockScheme::StaticBubble &&
+           pkt.onEscape;
+}
+
+RouterId
+Router::routeTarget(const Packet &pkt)
+{
+    return pkt.intermediate != kInvalidId && !pkt.phaseTwo
+        ? pkt.intermediate
+        : pkt.destRouter;
+}
+
+bool
+Router::candidatePorts(const Packet &pkt, RouterId target,
+                       std::vector<PortId> &out, bool &fell_back) const
+{
+    net_.routing().candidates(pkt, *this, target, out);
+    SPIN_ASSERT(!out.empty(), "routing produced no candidates at router ",
+                id_, " for ", pkt.toString());
+    fell_back = false;
+    if (faults_ && faults_->anyPermanent())
+        return filterFaultyPorts(out, target, fell_back);
+    return true;
+}
+
+bool
+Router::parked(PortId inport, VcId vcid) const
+{
+    return inputs_[inport].vc(vcid).parkedGen == outGen_;
+}
+
+bool
+Router::parkingStale(PortId inport, VcId vcid) const
+{
+    if (!parked(inport, vcid))
+        return false;
+    const Packet &pkt = *inputs_[inport].vc(vcid).owner();
+    std::vector<PortId> cands;
+    bool fell_back = false;
+    if (!candidatePorts(pkt, routeTarget(pkt), cands, fell_back))
+        return true; // re-routing would purge it
+    for (const PortId c : cands) {
+        if (hasIdleAllowedVc(pkt, c))
+            return true;
+    }
+    return false;
 }
 
 bool
@@ -149,8 +227,7 @@ Router::routeVc(PortId inport, VcId vcid)
     PortId request;
     if (pkt.destRouter == id_) {
         request = net_.topo().portOfNode(pkt.dest);
-    } else if (net_.config().scheme == DeadlockScheme::StaticBubble &&
-               pkt.onEscape) {
+    } else if (onBubbleEscape(pkt)) {
         // Recovery packets drain on the reserved network via west-first.
         // Not fault-filtered: the escape ring's deadlock freedom rests
         // on the intact mesh, and spin_lint flags the degraded variant.
@@ -169,20 +246,16 @@ Router::routeVc(PortId inport, VcId vcid)
             // detour and head straight for the destination.
             pkt.phaseTwo = true;
         }
-        const RouterId target =
-            (pkt.intermediate != kInvalidId && !pkt.phaseTwo)
-            ? pkt.intermediate
-            : pkt.destRouter;
-        RoutingAlgorithm &algo = net_.routing();
-        algo.candidates(pkt, *this, target, scratchPorts_);
-        SPIN_ASSERT(!scratchPorts_.empty(), "routing produced no "
-                    "candidates at router ", id_, " for ", pkt.toString());
-        if (faulty && !filterFaultyPorts(vc, pkt, target))
+        const RouterId target = routeTarget(pkt);
+        bool fell_back = false;
+        if (!candidatePorts(pkt, target, scratchPorts_, fell_back))
             return false;
-        request = algo.select(pkt, *this, scratchPorts_);
+        if (fell_back && !vc.routeValid)
+            noteReroute(pkt, target);
+        request = net_.routing().select(pkt, *this, scratchPorts_);
 
-        // Request hysteresis: adaptive selection runs every cycle, but
-        // a blocked head only re-targets a *different* port when that
+        // Request hysteresis: a blocked head re-selects whenever it is
+        // not parked, but only re-targets a *different* port when that
         // port actually has a free allowed VC. This keeps the buffer
         // dependencies SPIN traces stable inside a deadlock (where no
         // port has free VCs and re-selection would be a coin flip)
@@ -203,8 +276,8 @@ Router::routeVc(PortId inport, VcId vcid)
 }
 
 bool
-Router::filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
-                          RouterId target)
+Router::filterFaultyPorts(std::vector<PortId> &ports, RouterId target,
+                          bool &fell_back) const
 {
     const int dh = faults_->degradedDistance(id_, target);
     if (dh < 0)
@@ -216,16 +289,16 @@ Router::filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
     // (no livelock between intact-table and degraded-table hops).
     const Topology &topo = net_.topo();
     std::size_t w = 0;
-    for (const PortId c : scratchPorts_) {
+    for (const PortId c : ports) {
         if (!faults_->outPortAlive(id_, c))
             continue;
         const LinkSpec *l = topo.outLink(id_, c);
         if (!l || faults_->degradedDistance(l->dst, target) != dh - 1)
             continue;
-        scratchPorts_[w++] = c;
+        ports[w++] = c;
     }
     if (w != 0) {
-        scratchPorts_.resize(w);
+        ports.resize(w);
         return true;
     }
 
@@ -236,21 +309,25 @@ Router::filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
         faults_->degraded().minimalPorts(id_, target);
     SPIN_ASSERT(!mp.empty(), "degraded tables empty despite dh=", dh,
                 " at router ", id_);
-    scratchPorts_.assign(mp.begin(), mp.end());
-    if (!vc.routeValid) {
-        ++net_.stats().packetsRerouted;
-        if (obs::Tracer *t = net_.trace()) {
-            obs::TraceEvent e;
-            e.cycle = net_.now();
-            e.category = obs::kCatFault;
-            e.name = "reroute";
-            e.router = id_;
-            e.packet = pkt.id;
-            e.arg0 = target;
-            t->record(e);
-        }
-    }
+    ports.assign(mp.begin(), mp.end());
+    fell_back = true;
     return true;
+}
+
+void
+Router::noteReroute(const Packet &pkt, RouterId target)
+{
+    ++net_.stats().packetsRerouted;
+    if (obs::Tracer *t = net_.trace()) {
+        obs::TraceEvent e;
+        e.cycle = net_.now();
+        e.category = obs::kCatFault;
+        e.name = "reroute";
+        e.router = id_;
+        e.packet = pkt.id;
+        e.arg0 = target;
+        t->record(e);
+    }
 }
 
 void
@@ -290,15 +367,17 @@ Router::purgeUnroutable(PortId inport, VcId vcid)
 }
 
 bool
-Router::hasIdleAllowedVc(const Packet &pkt, PortId outport) const
+Router::hasIdleAllowedVc(const Packet &pkt, PortId outport,
+                         bool fresh_too) const
 {
     const OutputUnit &out = outputs_[outport];
     if (out.toNic())
         return true;
     net_.routing().allowedVcs(pkt, *this, outport, scratchVcs_);
     applyVcReservation(net_, pkt, scratchVcs_);
+    const Cycle now = net_.now();
     for (const VcId v : scratchVcs_) {
-        if (out.isIdle(v))
+        if (out.isIdle(v) || (fresh_too && out.activeSince(v) == now))
             return true;
     }
     return false;
@@ -322,8 +401,7 @@ Router::tryVcAllocation(PortId inport, VcId vcid)
     RoutingAlgorithm &algo = net_.routing();
     if (!out.toNic() && !algo.admission(pkt, *this, inport, vc.request))
         return; // flow-control gate (e.g. bubble condition)
-    if (net_.config().scheme == DeadlockScheme::StaticBubble &&
-        pkt.onEscape) {
+    if (onBubbleEscape(pkt)) {
         scratchVcs_.clear();
         const int per = net_.config().vcsPerVnet;
         scratchVcs_.push_back(pkt.vnet * per + per - 1);
@@ -334,6 +412,7 @@ Router::tryVcAllocation(PortId inport, VcId vcid)
 
     const VcId granted = out.allocate(scratchVcs_, pkt.id, net_.now());
     if (granted != kInvalidId) {
+        noteOutputChange();
         vc.grantedVc = granted;
         algo.onVcGranted(pkt, *this, vc.request, granted);
         if (obs::Tracer *t = net_.trace())
@@ -571,6 +650,7 @@ Router::forceSend(PortId inport, VcId vcid, PortId outport, VcId down_vc,
     SPIN_ASSERT(l, "rotation over unwired port");
     OutputUnit &out = outputs_[outport];
     out.forceAllocate(down_vc, pkt->id, now);
+    noteOutputChange();
     for (int i = 0; i < n; ++i)
         out.consumeCredit(down_vc);
     if (faults_)
@@ -621,6 +701,7 @@ Router::grantReserved(PortId inport, VcId vcid, PortId outport,
     const VcId got = outputs_[outport].allocate(scratchVcs_, pkt.id,
                                                 net_.now());
     SPIN_ASSERT(got == down_vc, "reserved VC was not idle");
+    noteOutputChange();
     vc.grantedVc = got;
     pkt.onEscape = true;
     ++net_.stats().bubbleRecoveries;

@@ -102,7 +102,8 @@ class Router
     void receiveFlit(PortId inport, VcId vc, Flit f);
     /** A credit arrived for downstream VC @p vc of @p outport. */
     void receiveCredit(PortId outport, VcId vc, bool is_free);
-    /** Route compute + VC allocation for head packets. */
+    /** Route compute + VC allocation for head packets (parked heads
+     *  are skipped; see the definition). */
     void computeRoutes();
     /** Switch allocation + link traversal. */
     void allocateSwitch();
@@ -118,6 +119,26 @@ class Router
     PortId depRequest(PortId inport, VcId vc) const;
     /** True when that request is the ejection (NIC) port. */
     bool isEjectRequest(PortId inport, VcId vc) const;
+    /// @}
+
+    /// @name Parked heads (see computeRoutes())
+    /// @{
+    /**
+     * Move the output-change generation, waking every parked head.
+     * The router calls it on each event that can give a blocked head
+     * a VC it could select or take; the fault injector calls it on
+     * every router when the fault state changes.
+     */
+    void noteOutputChange() { ++outGen_; }
+    /** True when the head in (inport, vc) is parked. */
+    bool parked(PortId inport, VcId vc) const;
+    /**
+     * Audit hook: true when the head in (inport, vc) is parked although
+     * re-running its route would act -- one of its candidate ports has
+     * an idle allowed VC, or its target became unreachable. Either
+     * means an output or fault change failed to wake it.
+     */
+    bool parkingStale(PortId inport, VcId vc) const;
     /// @}
 
     /**
@@ -194,6 +215,10 @@ class Router
     /** See creditStallCycles(). */
     std::uint64_t creditStalls_ = 0;
 
+    /** Output-change generation (noteOutputChange()). Starts at 1 so a
+     *  VC's parkedGen of 0 reads as "not parked". */
+    std::uint64_t outGen_ = 1;
+
     /** Slot in the network's contiguous per-router load array (see
      *  bufferedFlits()); Network::step() scans that array directly so
      *  skipping idle routers touches no Router object. */
@@ -219,20 +244,38 @@ class Router
     mutable std::vector<VcId> scratchVcs_;
     std::vector<LinkFlit> scratchPacket_;
 
-    /** Compute/refresh the route request of one head VC. @return false
-     *  when no surviving path to the target exists (caller purges). */
+    /** Compute/refresh the route request of one head VC, leaving the
+     *  routed candidate ports in scratchPorts_. @return false when no
+     *  surviving path to the target exists (caller purges). */
     bool routeVc(PortId inport, VcId vcid);
-    /** Restrict scratchPorts_ to alive, degraded-distance-decreasing
+    /** True when @p pkt rides Static Bubble's recovery network: routed
+     *  west-first into the reserved VC, not through candidates(). */
+    bool onBubbleEscape(const Packet &pkt) const;
+    /** Current routing target of @p pkt: its intermediate router during
+     *  a misroute phase, otherwise its destination router. */
+    static RouterId routeTarget(const Packet &pkt);
+    /** Candidate ports of @p pkt toward @p target into @p out, fault
+     *  filtered. @p fell_back is set when every algorithm candidate died
+     *  or detoured and the degraded minimal tables stood in.
+     *  @return false when @p target is unreachable. */
+    bool candidatePorts(const Packet &pkt, RouterId target,
+                        std::vector<PortId> &out, bool &fell_back) const;
+    /** Restrict @p ports to alive, degraded-distance-decreasing
      *  candidates (falling back to the degraded minimal tables).
      *  @return false when @p target is unreachable. */
-    bool filterFaultyPorts(VirtualChannel &vc, Packet &pkt,
-                           RouterId target);
+    bool filterFaultyPorts(std::vector<PortId> &ports, RouterId target,
+                           bool &fell_back) const;
+    /** Count and trace a packet first routed by the degraded tables. */
+    void noteReroute(const Packet &pkt, RouterId target);
     /** Retire the complete unroutable packet in (inport, vc): pop its
      *  flits, return credits, account it, drop it. Waits (no-op) until
      *  the whole packet has streamed into the VC. */
     void purgeUnroutable(PortId inport, VcId vcid);
-    /** True when @p outport has an idle VC @p pkt may acquire. */
-    bool hasIdleAllowedVc(const Packet &pkt, PortId outport) const;
+    /** True when @p outport has an idle VC @p pkt may acquire or, with
+     *  @p fresh_too, one activated this very cycle -- exactly the VCs
+     *  RoutingAlgorithm::select() rates t_active == 0. */
+    bool hasIdleAllowedVc(const Packet &pkt, PortId outport,
+                          bool fresh_too = false) const;
     /** Try to acquire a downstream VC for a routed head. */
     void tryVcAllocation(PortId inport, VcId vcid);
     /** True when (inport,vc) can send a flit right now. Forced inline:

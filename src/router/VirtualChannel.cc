@@ -53,6 +53,7 @@ VirtualChannel::popFlit()
         routeValid = false;
         request = kInvalidId;
         grantedVc = kInvalidId;
+        parkedGen = 0;
         frozen = false;
         frozenOutport = kInvalidId;
     }

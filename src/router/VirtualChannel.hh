@@ -13,6 +13,7 @@
 #ifndef SPINNOC_ROUTER_VIRTUALCHANNEL_HH
 #define SPINNOC_ROUTER_VIRTUALCHANNEL_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/Packet.hh"
@@ -24,7 +25,8 @@ namespace spin
 /**
  * Input-side virtual channel with its routing request state.
  * The *request* is the output port the resident packet currently wants;
- * adaptive algorithms may re-target it every cycle while blocked. The
+ * adaptive algorithms may re-target it while blocked, whenever an
+ * output VC at the router changes (see Router::computeRoutes()). The
  * request is what SPIN's probes trace as a buffer dependency.
  */
 class VirtualChannel
@@ -73,6 +75,9 @@ class VirtualChannel
     /** Downstream VC granted by VC allocation; kInvalidId until then.
      *  Stays valid for body/tail flits of the packet. */
     VcId grantedVc = kInvalidId;
+    /** Router output-change generation the blocked head was parked
+     *  at (Router::computeRoutes()); 0 while not parked. */
+    std::uint64_t parkedGen = 0;
     /// @}
 
     /// @name SPIN freeze state

@@ -2,14 +2,15 @@
  * @file
  * Routing algorithm interface.
  *
- * An algorithm answers three questions each cycle for a head packet at a
- * router: which output ports are acceptable (candidates), which one to
- * request right now (select, re-evaluated every cycle while blocked --
- * this is what makes routing adaptive), and which downstream VCs the
- * packet may acquire (allowedVcs -- this is where Dally-style VC
- * orderings and Duato escape restrictions live). Algorithms that
- * misroute (UGAL, FAvORS-NMin) additionally make a one-time decision at
- * the source (sourceRoute).
+ * An algorithm answers three questions for a head packet at a router:
+ * which output ports are acceptable (candidates), which one to request
+ * right now (select, re-evaluated while blocked whenever an output VC
+ * at the router changes -- this is what makes routing adaptive; see
+ * Router::computeRoutes() for when a blocked head sleeps), and which
+ * downstream VCs the packet may acquire (allowedVcs -- this is where
+ * Dally-style VC orderings and Duato escape restrictions live).
+ * Algorithms that misroute (UGAL, FAvORS-NMin) additionally make a
+ * one-time decision at the source (sourceRoute).
  */
 
 #ifndef SPINNOC_ROUTING_ROUTINGALGORITHM_HH
@@ -108,7 +109,9 @@ class RoutingAlgorithm
     /**
      * Output ports @p pkt may take at router @p r this cycle, written
      * into @p out (cleared first). Never includes the ejection port:
-     * the router ejects when destRouter == r. Must be non-empty.
+     * the router ejects when destRouter == r. Must be non-empty, and
+     * must depend on the packet and the topology only: a parked head
+     * does not ask again until an output VC at @p r changes.
      *
      * @param target the packet's current routing target (the
      *        intermediate router during a misroute phase, otherwise the
@@ -123,6 +126,10 @@ class RoutingAlgorithm
      * Default policy is the paper's FAvORS selection (Sec. V): prefer a
      * random candidate whose next-hop has a free allowed VC, otherwise
      * the candidate whose next-hop VC has been active the fewest cycles.
+     * "Free" here means t_active == 0, which also holds for a VC
+     * allocated earlier in the current cycle (DESIGN.md §1.3). An
+     * override must draw from the router rng only when some candidate
+     * has such a VC: the router parks blocked heads on that premise.
      */
     virtual PortId select(const Packet &pkt, const Router &r,
                           const std::vector<PortId> &cands) const;

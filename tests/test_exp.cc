@@ -326,6 +326,34 @@ TEST(CampaignTest, PeriodicAuditPassesOnCleanProtocol)
     EXPECT_EQ(a, b);
 }
 
+TEST(CampaignTest, EveryCycleAuditPassesOnCollapsingFavors)
+{
+    // One-VC fully adaptive routing past its knee deadlocks over and
+    // over, so blocked heads park and wake all the time. The auditor,
+    // run at every cycle boundary, checks among the rest that no parked
+    // head missed an output change that should have woken it.
+    std::string err;
+    const SweepSpec spec = parseSpec(
+        R"({"name": "collapse", "topology": "mesh8x8",
+            "presets": ["FAvORS_Min_1VC_SPIN"],
+            "patterns": ["uniform-random"], "rates": [0.30],
+            "seeds": [1], "warmup": 300, "measure": 700,
+            "latencyCap": 400.0})",
+        err);
+    ASSERT_TRUE(err.empty()) << err;
+    CampaignOptions plain;
+    CampaignOptions audited;
+    audited.auditInterval = 1;
+    const obs::JsonValue a = Campaign(spec, plain).run();
+    const obs::JsonValue b = Campaign(spec, audited).run();
+    EXPECT_EQ(a.dump(2), b.dump(2));
+    // The cell really collapsed: it saturated and SPIN probed the
+    // deadlocks that formed.
+    const obs::JsonValue &cell = b["cells"].at(0);
+    EXPECT_TRUE(cell["saturated"].asBool());
+    EXPECT_GT(cell["stats"]["spin"]["probesSent"].asU64(), 0u);
+}
+
 TEST(CampaignTest, RunCellMatchesCampaignCell)
 {
     const SweepSpec spec = tinySpec();

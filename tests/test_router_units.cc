@@ -2,15 +2,24 @@
  * @file
  * Unit tests: router building blocks in isolation -- VirtualChannel
  * buffer/state invariants, OutputUnit allocation and credit flow,
- * InputUnit activity scans.
+ * InputUnit activity scans -- and the router's parking of blocked
+ * heads on a small mesh.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/Logging.hh"
+#include "common/Random.hh"
+#include "fault/FaultSchedule.hh"
+#include "network/Network.hh"
+#include "network/NetworkBuilder.hh"
+#include "obs/Json.hh"
 #include "router/InputUnit.hh"
 #include "router/OutputUnit.hh"
+#include "router/Router.hh"
 #include "router/VirtualChannel.hh"
+#include "routing/RoutingAlgorithm.hh"
+#include "topology/Mesh.hh"
 
 namespace spin
 {
@@ -55,11 +64,13 @@ TEST(VirtualChannelTest, TailPopClearsRoutingState)
     vc.grantedVc = 1;
     vc.frozen = true;
     vc.frozenOutport = 2;
+    vc.parkedGen = 7;
     vc.popFlit();
     EXPECT_FALSE(vc.routeValid);
     EXPECT_EQ(vc.request, kInvalidId);
     EXPECT_EQ(vc.grantedVc, kInvalidId);
     EXPECT_FALSE(vc.frozen);
+    EXPECT_EQ(vc.parkedGen, 0u); // the next packet starts unparked
 }
 
 TEST(VirtualChannelTest, CutThroughAllowsEmptyActive)
@@ -198,6 +209,192 @@ TEST(InputUnitTest, FromNicFlag)
     InputUnit transit(0, false, 2);
     EXPECT_TRUE(local.fromNic());
     EXPECT_FALSE(transit.fromNic());
+}
+
+// ---------------------------------------------------------------------
+// Parked heads (Router::computeRoutes)
+// ---------------------------------------------------------------------
+
+// The head under test sits at router 5 = (1,1) of a 4x4 mesh and heads
+// for router 10 = (2,2): two minimal candidates, East and North.
+constexpr RouterId kAt = 5;
+constexpr RouterId kTo = 10;
+
+/** 4x4 mesh, one VC, FAvORS minimal routing, no deadlock scheme. */
+std::unique_ptr<Network>
+oneVcMesh()
+{
+    NetworkConfig cfg;
+    cfg.vnets = 1;
+    cfg.vcsPerVnet = 1;
+    cfg.vcDepth = 5;
+    cfg.maxPacketSize = 5;
+    cfg.scheme = DeadlockScheme::None;
+    return buildNetwork(std::make_shared<Topology>(makeMesh(4, 4)), cfg,
+                        RoutingKind::FavorsMin);
+}
+
+/** The candidate of kAt -> kTo that is not East. */
+PortId
+northish(const Network &net)
+{
+    const auto &c = net.topo().minimalPorts(kAt, kTo);
+    return c[0] == MeshInfo::kEast ? c[1] : c[0];
+}
+
+/** Seize downstream VC 0 behind @p port of router kAt for a packet
+ *  that is not in the network, as if its head left this cycle. */
+void
+occupy(Network &net, PortId port)
+{
+    OutputUnit &out = net.router(kAt).output(port);
+    ASSERT_EQ(out.allocate({0}, 900 + port, net.now()), 0);
+    out.consumeCredit(0);
+}
+
+PortId
+localPort(const Network &net)
+{
+    return net.topo().portOfNode(net.topo().nodesAt(kAt).front());
+}
+
+/** Offer a 5-flit packet kAt -> kTo and step until its head has been
+ *  routed in router kAt's local input VC. @return that VC. */
+VirtualChannel &
+injectHead(Network &net)
+{
+    const Topology &topo = net.topo();
+    net.offerPacket(net.makePacket(topo.nodesAt(kAt).front(),
+                                   topo.nodesAt(kTo).front(), 0, 5));
+    VirtualChannel &vc = net.router(kAt).input(localPort(net)).vc(0);
+    for (int i = 0; i < 20 && !vc.routeValid; ++i)
+        net.step();
+    return vc;
+}
+
+TEST(ParkedHeadTest, BlockedHeadKeepsRequestAndDrawsNothing)
+{
+    auto net = oneVcMesh();
+    ASSERT_EQ(net->topo().minimalPorts(kAt, kTo).size(), 2u);
+    for (const PortId p : net->topo().minimalPorts(kAt, kTo))
+        occupy(*net, p);
+    net->step();
+    VirtualChannel &vc = injectHead(*net);
+    ASSERT_TRUE(vc.routeValid);
+    Router &rt = net->router(kAt);
+    EXPECT_TRUE(rt.parked(localPort(*net), 0));
+
+    const PortId req = vc.request;
+    const Random before = rt.rng();
+    for (int i = 0; i < 50; ++i) {
+        net->step();
+        ASSERT_EQ(vc.request, req);
+        ASSERT_EQ(vc.grantedVc, kInvalidId);
+    }
+    EXPECT_TRUE(rt.parked(localPort(*net), 0));
+    Random a = before;
+    Random b = rt.rng();
+    EXPECT_EQ(a.next(), b.next()); // no draw from the router's stream
+}
+
+TEST(ParkedHeadTest, FreeCreditRetargetsAndGrantsInTheNextRoutingPhase)
+{
+    auto net = oneVcMesh();
+    for (const PortId p : net->topo().minimalPorts(kAt, kTo))
+        occupy(*net, p);
+    net->step();
+    VirtualChannel &vc = injectHead(*net);
+    Router &rt = net->router(kAt);
+    ASSERT_TRUE(rt.parked(localPort(*net), 0));
+    for (int i = 0; i < 5; ++i)
+        net->step();
+
+    // The downstream VC behind the other candidate drains. Its free
+    // credit lands in the wires phase; the routing phase of the same
+    // cycle re-targets the head there and grants it, as it would have
+    // without parking.
+    const auto &c = net->topo().minimalPorts(kAt, kTo);
+    const PortId other = c[0] == vc.request ? c[1] : c[0];
+    const Cycle now = net->now();
+    rt.receiveCredit(other, 0, true);
+    EXPECT_FALSE(rt.parked(localPort(*net), 0));
+    net->step();
+    EXPECT_EQ(vc.request, other);
+    EXPECT_EQ(vc.grantedVc, 0);
+    EXPECT_EQ(rt.output(other).ownerOf(0), vc.owner()->id);
+    EXPECT_EQ(rt.output(other).activeSince(0), now);
+}
+
+TEST(ParkedHeadTest, VcActivatedThisCycleCountsAsFreeInSelect)
+{
+    // select() rates a downstream VC activated in the current cycle at
+    // t_active == 0, like an idle one, and draws among such ports. The
+    // park rule mirrors exactly this, so it must keep holding.
+    auto net = oneVcMesh();
+    Router &rt = net->router(kAt);
+    const auto &c = net->topo().minimalPorts(kAt, kTo);
+    occupy(*net, c[0]);
+    net->step();
+    occupy(*net, c[1]); // active for fewer cycles than c[0]
+    for (int i = 0; i < 3; ++i)
+        net->step();
+    const std::vector<PortId> cands(c.begin(), c.end());
+    const PacketPtr pkt = net->makePacket(net->topo().nodesAt(kAt).front(),
+                                          net->topo().nodesAt(kTo).front(),
+                                          0, 1);
+
+    // Both busy: the least-active candidate, no draw.
+    Random before = rt.rng();
+    EXPECT_EQ(net->routing().select(*pkt, rt, cands), c[1]);
+    Random now_rng = rt.rng();
+    EXPECT_EQ(now_rng.next(), before.next());
+
+    // c[0] force-allocated this very cycle (a SPIN rotation): it is
+    // the only t_active == 0 candidate, picked by a draw.
+    rt.output(c[0]).forceAllocate(0, 77, net->now());
+    before = rt.rng();
+    EXPECT_EQ(net->routing().select(*pkt, rt, cands), c[0]);
+    now_rng = rt.rng();
+    EXPECT_NE(now_rng.next(), before.next());
+}
+
+TEST(ParkedHeadTest, FaultEventWakesParkedHeads)
+{
+    auto net = oneVcMesh();
+    std::string perr;
+    const obs::JsonValue doc = obs::JsonValue::parse(
+        R"({"schema": "spin-faults/v1",
+            "events": [{"kind": "link", "cycle": 40, "src": 5,
+                        "dst": 6}]})",
+        &perr);
+    ASSERT_TRUE(perr.empty()) << perr;
+    fault::FaultSchedule fs;
+    std::string err;
+    ASSERT_TRUE(fault::FaultSchedule::fromJson(doc, fs, err)) << err;
+    net->attachFaults(fs);
+
+    // East (toward router 6) is the least-active candidate, so the
+    // blocked head requests it.
+    const PortId north = northish(*net);
+    occupy(*net, north);
+    net->step();
+    occupy(*net, MeshInfo::kEast);
+    net->step();
+    VirtualChannel &vc = injectHead(*net);
+    Router &rt = net->router(kAt);
+    ASSERT_EQ(vc.request, MeshInfo::kEast);
+    ASSERT_TRUE(rt.parked(localPort(*net), 0));
+    while (net->now() < 40) {
+        net->step();
+        ASSERT_EQ(vc.request, MeshInfo::kEast);
+    }
+
+    // The East link dies at the start of cycle 40. Nothing at the
+    // router's output VCs changed, yet the head must re-route off the
+    // dead port in that cycle's routing phase.
+    net->step();
+    EXPECT_EQ(vc.request, north);
+    EXPECT_EQ(vc.grantedVc, kInvalidId);
 }
 
 } // namespace
