@@ -11,7 +11,7 @@ namespace spin
 {
 
 void
-MoveManager::processMove(const SpecialMsg &sm, PortId inport,
+MoveManager::processMove(SpecialMsg &&sm, PortId inport,
                          std::vector<SmSend> &sends)
 {
     Router &rt = unit_.router();
@@ -61,13 +61,12 @@ MoveManager::processMove(const SpecialMsg &sm, PortId inport,
 
     unit_.freeze(inport, v, outport, sm.sender, sm.spinCycle);
 
-    SpecialMsg fwd = sm;
-    ++fwd.pathIdx;
-    sends.push_back(SmSend{std::move(fwd), self, outport});
+    ++sm.pathIdx;
+    sends.push_back(SmSend{std::move(sm), self, outport});
 }
 
 void
-MoveManager::processKill(const SpecialMsg &sm, PortId inport,
+MoveManager::processKill(SpecialMsg &&sm, PortId inport,
                          std::vector<SmSend> &sends)
 {
     Router &rt = unit_.router();
@@ -94,9 +93,8 @@ MoveManager::processKill(const SpecialMsg &sm, PortId inport,
     if (victim.active)
         unit_.unfreeze(inport, outport);
 
-    SpecialMsg fwd = sm;
-    ++fwd.pathIdx;
-    sends.push_back(SmSend{std::move(fwd), self, outport});
+    ++sm.pathIdx;
+    sends.push_back(SmSend{std::move(sm), self, outport});
 }
 
 } // namespace spin

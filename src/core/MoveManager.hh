@@ -25,12 +25,13 @@ class MoveManager
   public:
     explicit MoveManager(SpinUnit &unit) : unit_(unit) {}
 
-    /** Process an arriving move or probe_move. */
-    void processMove(const SpecialMsg &sm, PortId inport,
+    /** Process an arriving move or probe_move (consumed: the
+     *  forward takes it over). */
+    void processMove(SpecialMsg &&sm, PortId inport,
                      std::vector<SmSend> &sends);
 
-    /** Process an arriving kill_move. */
-    void processKill(const SpecialMsg &sm, PortId inport,
+    /** Process an arriving kill_move (consumed likewise). */
+    void processKill(SpecialMsg &&sm, PortId inport,
                      std::vector<SmSend> &sends);
 
   private:

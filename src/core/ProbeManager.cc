@@ -13,7 +13,7 @@ namespace spin
 {
 
 void
-ProbeManager::process(const SpecialMsg &sm, PortId inport,
+ProbeManager::process(SpecialMsg &&sm, PortId inport,
                       std::vector<SmSend> &sends)
 {
     Router &rt = unit_.router();
@@ -110,19 +110,28 @@ ProbeManager::process(const SpecialMsg &sm, PortId inport,
     }
 
     obs::Tracer *tr = net.trace();
+    const RouterId sender = sm.sender;
+    const int forks = n_ports + static_cast<int>(overflow.size());
+    int forked = 0;
     const auto fork = [&](PortId o) {
-        SpecialMsg copy = sm;
-        copy.path.push_back(o);
-        sends.push_back(SmSend{std::move(copy), self, o});
+        // Append the hop in place, then copy the probe (one exact-size
+        // path allocation) or, on the last fork, hand it over.
+        sm.path.push_back(o);
+        if (++forked == forks) {
+            sends.push_back(SmSend{std::move(sm), self, o});
+        } else {
+            sends.push_back(SmSend{sm, self, o});
+            sm.path.pop_back();
+        }
         if (tr)
-            tr->spin(net.now(), "probe_fwd", self, nullptr, sm.sender, o);
+            tr->spin(net.now(), "probe_fwd", self, nullptr, sender, o);
     };
     for (int i = 0; i < n_ports; ++i)
         fork(ports[i]);
     for (const PortId p : overflow)
         fork(p);
-    if (n_ports + static_cast<int>(overflow.size()) > 1)
-        st.probesForked += n_ports + overflow.size() - 1;
+    if (forks > 1)
+        st.probesForked += forks - 1;
 }
 
 } // namespace spin

@@ -28,9 +28,10 @@ class ProbeManager
     /**
      * Process an arriving probe. Appends forked forwards to @p sends;
      * accepts the probe (loop confirmed) when it is the unit's own probe
-     * returning on the pointed VC's in-port.
+     * returning on the pointed VC's in-port. Consumes @p sm: the last
+     * fork takes over its path, the others copy it.
      */
-    void process(const SpecialMsg &sm, PortId inport,
+    void process(SpecialMsg &&sm, PortId inport,
                  std::vector<SmSend> &sends);
 
   private:

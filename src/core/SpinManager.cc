@@ -66,6 +66,7 @@ SpinManager::SpinManager(Network &net)
         router.setSpinUnit(std::move(unit));
     }
     smLines_.resize(net.numLinks());
+    inbox_.resize(net.numRouters());
 }
 
 void
@@ -80,55 +81,59 @@ SpinManager::smPhase(Cycle now)
     if (smsInFlight_ == 0 && scheduled_.empty())
         return; // no SM anywhere: nothing below can fire
 
-    // 1. Collect arrivals across all links.
-    struct Arrival
-    {
-        RouterId router;
-        PortId inport;
-        SpecialMsg sm;
-    };
-    std::vector<Arrival> arrivals;
+    // 1. Drain arrivals into per-router inboxes. Links are visited in
+    // index order, so each inbox lists its router's arrivals in the
+    // order of one global list over (link index, arrival).
+    sends_.clear();
     if (smsInFlight_ != 0) {
+        const fault::FaultInjector *fi = net_.faults();
         for (int li = 0; li < static_cast<int>(smLines_.size()); ++li) {
             if (smLines_[li].empty())
                 continue;
             const LinkSpec &spec = net_.link(li).spec();
-            for (SpecialMsg &sm : smLines_[li].drain(now)) {
+            smLines_[li].drainInto(now, [&](SpecialMsg &sm) {
                 --smsInFlight_;
                 // SMs in flight toward a router that died mid-wire are
                 // lost with it (the dead unit must not process them).
-                if (net_.faults() && net_.faults()->routerDead(spec.dst))
-                    continue;
-                arrivals.push_back(Arrival{spec.dst, spec.dstPort,
-                                           std::move(sm)});
-            }
-        }
-    }
-
-    std::vector<SmSend> sends;
-
-    if (!arrivals.empty()) {
-        // Per-router processing order: SM class priority, then sender
-        // dynamic priority (paper Sec. IV-C1).
-        std::stable_sort(arrivals.begin(), arrivals.end(),
-            [&](const Arrival &a, const Arrival &b) {
-                if (a.router != b.router)
-                    return a.router < b.router;
-                const int ca = classPriority(a.sm.type);
-                const int cb = classPriority(b.sm.type);
-                if (ca != cb)
-                    return ca > cb;
-                return priorityOf(a.sm.sender, now) >
-                       priorityOf(b.sm.sender, now);
+                if (fi && fi->routerDead(spec.dst))
+                    return;
+                std::vector<Arrival> &in = inbox_[spec.dst];
+                if (in.empty())
+                    inboxRouters_.push_back(spec.dst);
+                in.push_back(Arrival{spec.dstPort, classPriority(sm.type),
+                                     priorityOf(sm.sender, now),
+                                     std::move(sm)});
             });
-        for (Arrival &a : arrivals)
-            units_[a.router]->processSm(a.sm, a.inport, sends);
+        }
+
+        // Routers in id order; within a router, SM class priority,
+        // then sender dynamic priority (paper Sec. IV-C1), ties in
+        // arrival order. A stable sort's result is unique, so this
+        // insertion sort per inbox gives what one stable sort of the
+        // global list keyed (router, class, priority) gave.
+        std::sort(inboxRouters_.begin(), inboxRouters_.end());
+        const auto before = [](const Arrival &a, const Arrival &b) {
+            return a.cls != b.cls ? a.cls > b.cls : a.prio > b.prio;
+        };
+        for (const RouterId r : inboxRouters_) {
+            std::vector<Arrival> &in = inbox_[r];
+            for (std::size_t i = 1; i < in.size(); ++i) {
+                for (std::size_t j = i; j > 0 && before(in[j], in[j - 1]);
+                     --j) {
+                    std::swap(in[j], in[j - 1]);
+                }
+            }
+            for (Arrival &a : in)
+                units_[r]->processSm(std::move(a.sm), a.inport, sends_);
+            in.clear();
+        }
+        inboxRouters_.clear();
     }
 
     // 2. FSM-scheduled emissions that are due.
     for (std::size_t i = 0; i < scheduled_.size();) {
         if (scheduled_[i].first <= now) {
-            sends.push_back(std::move(scheduled_[i].second));
+            sends_.push_back(std::move(scheduled_[i].second));
             scheduled_[i] = std::move(scheduled_.back());
             scheduled_.pop_back();
         } else {
@@ -136,8 +141,25 @@ SpinManager::smPhase(Cycle now)
         }
     }
 
-    if (!sends.empty())
-        launch(sends, now);
+    if (!sends_.empty())
+        launch(sends_, now);
+}
+
+void
+sortContention(std::vector<SmSendKey> &keys)
+{
+    std::sort(keys.begin(), keys.end(),
+        [](const SmSendKey &a, const SmSendKey &b) {
+            if (a.from != b.from)
+                return a.from < b.from;
+            if (a.outport != b.outport)
+                return a.outport < b.outport;
+            if (a.cls != b.cls)
+                return a.cls > b.cls;
+            if (a.prio != b.prio)
+                return a.prio > b.prio;
+            return a.sender < b.sender;
+        });
 }
 
 void
@@ -170,40 +192,37 @@ SpinManager::launch(std::vector<SmSend> &sends, Cycle now)
     }
 
     // Group by physical link; one winner per link per cycle, everything
-    // else is dropped (bufferless traversal).
-    std::sort(sends.begin(), sends.end(),
-        [&](const SmSend &a, const SmSend &b) {
-            if (a.from != b.from)
-                return a.from < b.from;
-            if (a.outport != b.outport)
-                return a.outport < b.outport;
-            const int ca = classPriority(a.sm.type);
-            const int cb = classPriority(b.sm.type);
-            if (ca != cb)
-                return ca > cb;
-            const int pa = priorityOf(a.sm.sender, now);
-            const int pb = priorityOf(b.sm.sender, now);
-            if (pa != pb)
-                return pa > pb;
-            return a.sm.sender < b.sm.sender;
-        });
+    // else is dropped (bufferless traversal). The keys are sorted, not
+    // the sends: same order, far cheaper moves.
+    keys_.clear();
+    for (std::size_t k = 0; k < sends.size(); ++k) {
+        const SmSend &s = sends[k];
+        keys_.push_back(SmSendKey{s.from, s.outport,
+                                  classPriority(s.sm.type),
+                                  priorityOf(s.sm.sender, now),
+                                  s.sm.sender,
+                                  static_cast<std::uint32_t>(k)});
+    }
+    sortContention(keys_);
 
     Stats &st = net_.stats();
     obs::Tracer *tr = net_.trace();
     std::size_t i = 0;
-    while (i < sends.size()) {
+    while (i < keys_.size()) {
         std::size_t j = i + 1;
-        while (j < sends.size() && sends[j].from == sends[i].from &&
-               sends[j].outport == sends[i].outport) {
+        while (j < keys_.size() && keys_[j].from == keys_[i].from &&
+               keys_[j].outport == keys_[i].outport) {
             ++j;
         }
         if (tr) {
-            for (std::size_t k = i + 1; k < j; ++k)
-                tr->spin(now, "sm_contention_drop", sends[k].from,
-                         smName(sends[k].sm.type), sends[k].sm.sender);
+            for (std::size_t k = i + 1; k < j; ++k) {
+                const SmSend &lost = sends[keys_[k].index];
+                tr->spin(now, "sm_contention_drop", lost.from,
+                         smName(lost.sm.type), lost.sm.sender);
+            }
         }
-        // sends[i] is the winner of this link's contention group.
-        SmSend &win = sends[i];
+        // The first key names the winner of this link's contention group.
+        SmSend &win = sends[keys_[i].index];
         const int li = net_.linkIndexOf(win.from, win.outport);
         if (li >= 0 && net_.faults() && net_.faults()->linkFailed(li)) {
             // The wire is gone: the whole group is lost. The sender's

@@ -66,6 +66,31 @@ struct SmSubstrate
     std::vector<Pending> pending;
 };
 
+/**
+ * Link-contention sort key of one SmSend: the fields the contention
+ * order compares, with the sender's dynamic priority evaluated once,
+ * plus the send's index in its list.
+ */
+struct SmSendKey
+{
+    RouterId from = kInvalidId;
+    PortId outport = kInvalidId;
+    int cls = 0;  //!< classPriority() of the SM type
+    int prio = 0; //!< sender's dynamic priority this cycle
+    RouterId sender = kInvalidId;
+    std::uint32_t index = 0;
+};
+
+/**
+ * Order @p keys for link contention: by link (from, outport), then SM
+ * class and sender priority, highest first, then sender id; the first
+ * key of each link's run is its winner. Uses std::sort, whose
+ * permutation depends only on comparison outcomes, so the keys land in
+ * the order std::sort gives the sends they index -- also among sends
+ * that tie on every compared field (DESIGN.md Sec. 1.3).
+ */
+void sortContention(std::vector<SmSendKey> &keys);
+
 /** See file comment. */
 class SpinManager
 {
@@ -145,6 +170,26 @@ class SpinManager
     std::vector<std::pair<Cycle, SmSend>> scheduled_;
     SmHook smHook_;
     ProtocolMutation mutation_ = ProtocolMutation::None;
+
+    /** One SM delivered to a router this cycle. */
+    struct Arrival
+    {
+        PortId inport = kInvalidId;
+        int cls = 0;  //!< classPriority() of the SM type
+        int prio = 0; //!< sender's dynamic priority this cycle
+        SpecialMsg sm;
+    };
+    /// @name Per-cycle buffers of smPhase(), cleared, never shrunk
+    /// @{
+    /** Arrivals per destination router, in link-index order. */
+    std::vector<std::vector<Arrival>> inbox_;
+    /** Routers with a non-empty inbox this cycle. */
+    std::vector<RouterId> inboxRouters_;
+    /** SMs contending for links this cycle. */
+    std::vector<SmSend> sends_;
+    /** Contention keys of sends_ (launch()). */
+    std::vector<SmSendKey> keys_;
+    /// @}
 
     /** Resolve one cycle's link contention and launch the winners. */
     void launch(std::vector<SmSend> &sends, Cycle now);

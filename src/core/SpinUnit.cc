@@ -72,31 +72,24 @@ SpinUnit::onFlitArrival(PortId inport, VcId vc)
     }
 }
 
-void
-SpinUnit::onFlitDeparture(PortId, VcId)
-{
-    // Progress timestamps live in the VCs themselves
-    // (VirtualChannel::lastProgress); nothing to do here.
-}
-
 // ---------------------------------------------------------------------
 // SM dispatch
 // ---------------------------------------------------------------------
 
 void
-SpinUnit::processSm(const SpecialMsg &sm, PortId inport,
+SpinUnit::processSm(SpecialMsg &&sm, PortId inport,
                     std::vector<SmSend> &sends)
 {
     switch (sm.type) {
       case SmType::Probe:
-        probeMgr_.process(sm, inport, sends);
+        probeMgr_.process(std::move(sm), inport, sends);
         break;
       case SmType::Move:
       case SmType::ProbeMove:
-        moveMgr_.processMove(sm, inport, sends);
+        moveMgr_.processMove(std::move(sm), inport, sends);
         break;
       case SmType::KillMove:
-        moveMgr_.processKill(sm, inport, sends);
+        moveMgr_.processKill(std::move(sm), inport, sends);
         break;
     }
 }
@@ -283,6 +276,7 @@ SpinUnit::unfreeze(PortId inport, PortId outport)
             VirtualChannel &v = router_.input(inport).vc(frozen_[i].vc);
             v.frozen = false;
             v.frozenOutport = kInvalidId;
+            router_.wake();
             frozen_.erase(frozen_.begin() +
                           static_cast<std::ptrdiff_t>(i));
             if (frozen_.empty())
@@ -303,6 +297,7 @@ SpinUnit::unfreezeAll()
     }
     frozen_.clear();
     victim_ = VictimCtx{};
+    router_.wake(); // released VCs route and send again
 }
 
 // ---------------------------------------------------------------------

@@ -35,17 +35,18 @@ class SpinUnit
 
     /// @name Datapath hooks (called by the Router)
     /// @{
-    /** A flit arrived at a non-local in-port: S_OFF -> S_DD. */
+    /** A flit arrived at a non-local in-port: S_OFF -> S_DD. (Progress
+     *  timestamps live in the VCs, VirtualChannel::lastProgress, so
+     *  departures need no hook.) */
     void onFlitArrival(PortId inport, VcId vc);
-    /** A flit left (inport, vc): advance the pointed-VC counter. */
-    void onFlitDeparture(PortId inport, VcId vc);
     /// @}
 
     /**
      * Process one arriving SM; forwards are appended to @p sends and
-     * contend for links this cycle in the SpinManager.
+     * contend for links this cycle in the SpinManager. Consumes @p sm:
+     * a forward takes over its path instead of copying it.
      */
-    void processSm(const SpecialMsg &sm, PortId inport,
+    void processSm(SpecialMsg &&sm, PortId inport,
                    std::vector<SmSend> &sends);
 
     /** Counter expiry checks; runs once per cycle. */

@@ -54,7 +54,6 @@ auditNetwork(Network &net)
 {
     AuditReport rep;
     rep.cycle = net.now();
-    const Topology &topo = net.topo();
     const fault::FaultInjector *fi = net.faults();
     const int vcs = net.config().totalVcs();
     const int depth = net.config().vcDepth;
@@ -145,7 +144,17 @@ auditNetwork(Network &net)
                            "unreachable)");
                 }
 
-                // 5. Freeze bookkeeping matches the SpinUnit.
+                // 5. A quiet router has nothing to wake for: every
+                //    event that could give its routing or switch phase
+                //    work would have cleared the flag.
+                if (rt.quietStale(p, v)) {
+                    report(rep, "R", r, " in", p, " vc", v,
+                           rt.routingQuiet() ? " routing-quiet" : "",
+                           rt.switchQuiet() ? " switch-quiet" : "",
+                           " while its phase would act on it");
+                }
+
+                // 6. Freeze bookkeeping matches the SpinUnit.
                 if (vc.frozen) {
                     ++frozen_found;
                     if (!su) {
@@ -195,7 +204,28 @@ auditNetwork(Network &net)
         }
     }
 
-    (void)topo;
+    // 7. Flit conservation over the network's lifetime: every created
+    //    flit is still queued at its NIC, buffered in a router, on a
+    //    wire, or was ejected or lost.
+    std::uint64_t queued = 0;
+    std::uint64_t in_flight = 0;
+    std::uint64_t buffered = 0;
+    for (NodeId n = 0; n < net.numNodes(); ++n) {
+        queued += net.nic(n).queuedFlits();
+        in_flight += net.nic(n).flitsOnWires();
+    }
+    for (int li = 0; li < net.numLinks(); ++li)
+        in_flight += net.link(li).flitsOnWire();
+    for (RouterId r = 0; r < net.numRouters(); ++r)
+        buffered += static_cast<std::uint64_t>(
+            net.router(r).bufferedFlits());
+    const FlitLedger &fl = net.flitLedger();
+    if (fl.created != queued + buffered + in_flight + fl.ejected + fl.lost) {
+        report(rep, "flit conservation: created=", fl.created,
+               " but queued=", queued, " buffered=", buffered,
+               " in_flight=", in_flight, " ejected=", fl.ejected,
+               " lost=", fl.lost);
+    }
     return rep;
 }
 

@@ -7,8 +7,9 @@
  * against downstream buffer occupancy (including credits in flight),
  * VC allocation ownership against resident packets, frozen-VC
  * bookkeeping against SPIN's victim contexts, parked heads against
- * their routers' output VCs, and conservation of flits (created = in
- * queues + in buffers + in flight + ejected).
+ * their routers' output VCs, quiet routers against the work their
+ * phases would find, and conservation of flits over the network's
+ * lifetime (created = queued + buffered + in flight + ejected + lost).
  *
  * Tests call this after stress runs; it is also handy interactively
  * when extending the router. Violations are returned as messages, not

@@ -11,6 +11,7 @@
 #define SPINNOC_NETWORK_LINK_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/Packet.hh"
 #include "common/Types.hh"
@@ -99,9 +100,7 @@ class Link
         everArrived_ = true;
     }
 
-    std::vector<LinkFlit> drainFlits(Cycle now) { return flits_.drain(now); }
-
-    /** Allocation-free drain for the per-cycle path. */
+    /** Hand each flit arriving by @p now to @p fn, in arrival order. */
     template <typename F>
     void
     drainFlitsInto(Cycle now, F &&fn)
@@ -118,13 +117,7 @@ class Link
         credits_.push(arrival, c);
     }
 
-    std::vector<CreditMsg>
-    drainCredits(Cycle now)
-    {
-        return credits_.drain(now);
-    }
-
-    /** Allocation-free drain for the per-cycle path. */
+    /** Hand each credit arriving by @p now to @p fn, in arrival order. */
     template <typename F>
     void
     drainCreditsInto(Cycle now, F &&fn)
@@ -170,6 +163,8 @@ class Link
         return n;
     }
 
+    /** Flits currently on the wire (audit conservation check). */
+    std::size_t flitsOnWire() const { return flits_.size(); }
     /** Visit every in-flight flit as (arrival, LinkFlit); state digests. */
     template <typename F>
     void

@@ -291,6 +291,8 @@ Network::commitShards()
         SPIN_ASSERT(inFlight_ >= sh.lost, "loss without matching offer");
         inFlight_ -= sh.lost;
         sh.lost = 0;
+        ledger_.lost += sh.flitsLost;
+        sh.flitsLost = 0;
         if (tracer_) {
             // Replay through record() on this (coordinating) thread:
             // filters apply here, and sink output lands in shard
@@ -376,6 +378,7 @@ Network::offerPacket(const PacketPtr &pkt)
 {
     ++stats_.packetsCreated;
     stats_.flitsCreated += pkt->sizeFlits;
+    ledger_.created += static_cast<std::uint64_t>(pkt->sizeFlits);
     ++inFlight_;
     nics_[pkt->src]->offer(pkt);
 }
@@ -428,6 +431,16 @@ Network::notifyLost(const PacketPtr &pkt)
     }
     SPIN_ASSERT(inFlight_ > 0, "loss without matching offer");
     --inFlight_;
+}
+
+void
+Network::noteFlitsLost(std::uint64_t n)
+{
+    if (StepShard *const sh = tlsStepShard) {
+        sh->flitsLost += n; // parallel phase: committed by commitShards()
+        return;
+    }
+    ledger_.lost += n;
 }
 
 void

@@ -78,6 +78,24 @@ struct StepShard
     std::vector<obs::TraceEvent> events;
     /** Packets retired without ejecting (Network::notifyLost). */
     std::uint64_t lost = 0;
+    /** Flits retired without ejecting (Network::noteFlitsLost). */
+    std::uint64_t flitsLost = 0;
+};
+
+/**
+ * Lifetime flit counts behind the audit's conservation check: every
+ * created flit is still queued, buffered or on a wire, or was ejected
+ * or lost. Unlike Stats, never reset by beginMeasurement().
+ */
+struct FlitLedger
+{
+    /** Flits of every packet offered to a NIC. */
+    std::uint64_t created = 0;
+    /** Flits drained off eject wires, accepted by the NIC or not. */
+    std::uint64_t ejected = 0;
+    /** Flits retired anywhere else: dropped at or in dead routers,
+     *  purged as unroutable, refused at the source NIC. */
+    std::uint64_t lost = 0;
 };
 
 /** Installed while a worker executes a shard; redirects
@@ -205,6 +223,12 @@ class Network
     void notifyLost(const PacketPtr &pkt);
     /** Packets currently inside NIC queues or the network. */
     std::uint64_t packetsInFlight() const { return inFlight_; }
+    /** Called by NICs for each flit drained off an eject wire. */
+    void noteFlitEjected() { ++ledger_.ejected; }
+    /** Called wherever @p n flits are retired without ejecting. */
+    void noteFlitsLost(std::uint64_t n);
+    /** Lifetime flit counts (audit conservation check). */
+    const FlitLedger &flitLedger() const { return ledger_; }
     /// @}
 
     /// @name Measurement helpers
@@ -305,6 +329,7 @@ class Network
     std::function<void(const PacketPtr &)> ejectListener_;
     PacketId nextPacketId_ = 1;
     std::uint64_t inFlight_ = 0;
+    FlitLedger ledger_;
     Cycle usageWindowStart_ = 0;
 
     /// @name Sharded step loop (docs/SCALING.md)

@@ -68,6 +68,15 @@ Nic::queueLength() const
     return queue_.size();
 }
 
+std::uint64_t
+Nic::queuedFlits() const
+{
+    std::uint64_t n = 0;
+    for (const PacketPtr &p : queue_)
+        n += static_cast<std::uint64_t>(p->sizeFlits);
+    return n - curIdx_; // the streaming packet's sent flits left already
+}
+
 void
 Nic::drainArrivalWires(Cycle now)
 {
@@ -85,6 +94,7 @@ void
 Nic::drainEjectWire(Cycle now)
 {
     ejectWire_.drainInto(now, [&](const Flit &f) {
+        net_.noteFlitEjected();
         if (!f.isTail())
             return;
         f.pkt->ejectCycle = now;
@@ -176,6 +186,7 @@ Nic::injectStep(Cycle now)
         Stats &st = net_.stats();
         if (!cur_.empty()) {
             st.flitsLostToFaults += cur_.size() - curIdx_;
+            net_.noteFlitsLost(cur_.size() - curIdx_);
             ++st.packetsLostToFaults;
             // cur_[0].pkt may already be moved-from (flits hand their
             // ref over as they depart); the packet stays queue_.front()
@@ -190,6 +201,8 @@ Nic::injectStep(Cycle now)
         }
         while (!queue_.empty()) {
             ++st.packetsUnroutable;
+            net_.noteFlitsLost(
+                static_cast<std::uint64_t>(queue_.front()->sizeFlits));
             // A reliable copy that dies here never departs, so its ack
             // clock would stay unarmed and the retransmit entry would
             // park forever. Arm it at the refusal instead: the ladder
@@ -228,6 +241,7 @@ Nic::injectStep(Cycle now)
             // ladder still runs out and abandons the flow.
             if (pkt->reliable)
                 armAckDeadline(*pkt, now);
+            net_.noteFlitsLost(static_cast<std::uint64_t>(pkt->sizeFlits));
             net_.notifyLost(pkt);
             queue_.pop_front();
             return; // one retirement per cycle keeps the step bounded

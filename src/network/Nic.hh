@@ -50,6 +50,13 @@ class Nic
     void offer(const PacketPtr &pkt);
     /** Packets waiting, including the one currently streaming. */
     std::size_t queueLength() const;
+    /** Flits of those packets not yet streamed into the router. */
+    std::uint64_t queuedFlits() const;
+    /** Flits on the injection and ejection wires. */
+    std::size_t flitsOnWires() const
+    {
+        return injWire_.size() + ejectWire_.size();
+    }
 
     /// @name Per-cycle phases, called by Network::step()
     /// @{

@@ -66,6 +66,7 @@ Router::receiveFlit(PortId inport, VcId vcid, Flit f)
         // tail flit retires the packet (it is always at-or-upstream of
         // every other fragment, so this fires exactly once).
         ++net_.stats().flitsLostToFaults;
+        net_.noteFlitsLost(1);
         if (f.isTail()) {
             ++net_.stats().packetsLostToFaults;
             net_.notifyLost(f.pkt);
@@ -74,7 +75,12 @@ Router::receiveFlit(PortId inport, VcId vcid, Flit f)
     }
     const Cycle now = net_.now();
     f.arrivedAt = now;
-    inputs_[inport].vc(vcid).pushFlit(std::move(f), now);
+    VirtualChannel &vc = inputs_[inport].vc(vcid);
+    // Both phases look at a VC's front flit only, so a flit queued
+    // behind others gives neither of them work.
+    if (vc.empty())
+        wake();
+    vc.pushFlit(std::move(f), now);
     ++*load_;
     ++vnetLoad_[vcVnet(vcid)];
     occupied_[inport] |= std::uint64_t{1} << vcid;
@@ -87,7 +93,12 @@ Router::receiveCredit(PortId outport, VcId vcid, bool is_free)
 {
     if (dead_)
         return;
-    outputs_[outport].onCredit(vcid, is_free, net_.now());
+    OutputUnit &out = outputs_[outport];
+    out.onCredit(vcid, is_free, net_.now());
+    // Switch allocation waits on "no credits", so only the credit that
+    // takes the count from 0 to 1 can give it work.
+    if (out.credits(vcid) == 1)
+        switchQuiet_ = false;
     if (is_free)
         noteOutputChange();
 }
@@ -98,6 +109,7 @@ Router::markDead(Cycle now)
     if (dead_)
         return;
     dead_ = true;
+    wake();
     for (PortId p = 0; p < radix(); ++p) {
         InputUnit &iu = inputs_[p];
         for (VcId v = 0; v < iu.numVcs(); ++v) {
@@ -107,6 +119,7 @@ Router::markDead(Cycle now)
                 --*load_;
                 --vnetLoad_[vcVnet(v)];
                 ++net_.stats().flitsLostToFaults;
+                net_.noteFlitsLost(1);
                 if (f.isTail()) {
                     ++net_.stats().packetsLostToFaults;
                     net_.notifyLost(f.pkt);
@@ -131,40 +144,70 @@ Router::markDead(Cycle now)
  * credit, a grant (Static Bubble's reserved grant included), a SPIN
  * forced allocation -- and every fault-state change moves the
  * generation (noteOutputChange()), so skipping is exact.
+ *
+ * Quiescence. A pass that leaves every occupied VC granted, parked,
+ * frozen or purged sets the routing-quiet flag, and later passes
+ * return at once until wake() clears it. Such a pass would skip every
+ * VC: only a new packet (a flit arrival), a moved generation
+ * (noteOutputChange()) or an unfreeze can give a VC back to it, and
+ * each of those wakes the router. A grant made during the pass moves
+ * the generation, so the heads parked before it get their next pass.
  */
 void
 Router::computeRoutes()
 {
+    if (routeQuiet_)
+        return;
+    routeQuiet_ = true;
     for (PortId inport = 0; inport < radix(); ++inport) {
         InputUnit &iu = inputs_[inport];
         // Walk occupied VCs in ascending order, like the full scan did.
         for (std::uint64_t m = occupied_[inport]; m != 0; m &= m - 1) {
             const VcId v = std::countr_zero(m);
             VirtualChannel &vc = iu.vc(v);
-            if (!vc.active() || vc.frozen)
+            if (!needsRoute(vc))
                 continue;
-            if (!vc.front().isHead())
-                continue;
-            if (vc.grantedVc != kInvalidId)
-                continue; // committed; waiting only on switch/credits
-            if (vc.parkedGen == outGen_)
-                continue; // parked: nothing it could take has changed
+            // An ejection grant moves no generation but makes the VC a
+            // switch candidate.
+            switchQuiet_ = false;
             if (!routeVc(inport, v)) {
                 purgeUnroutable(inport, v);
+                if (vc.active())
+                    routeQuiet_ = false; // still streaming in: retry
                 continue;
             }
             tryVcAllocation(inport, v);
             // Ejecting heads are always granted; escape packets skip
             // candidates() and so never park.
             const Packet &pkt = *vc.owner();
-            if (vc.grantedVc != kInvalidId || onBubbleEscape(pkt))
+            if (vc.grantedVc != kInvalidId)
                 continue;
-            if (std::ranges::none_of(scratchPorts_, [&](PortId c) {
+            if (!onBubbleEscape(pkt) &&
+                std::ranges::none_of(scratchPorts_, [&](PortId c) {
                     return hasIdleAllowedVc(pkt, c, true);
                 }))
                 vc.parkedGen = outGen_;
+            else
+                routeQuiet_ = false;
         }
     }
+}
+
+bool
+Router::needsRoute(const VirtualChannel &vc) const
+{
+    return vc.active() && !vc.frozen && !vc.empty() &&
+           vc.front().isHead() && vc.grantedVc == kInvalidId &&
+           vc.parkedGen != outGen_;
+}
+
+bool
+Router::quietStale(PortId inport, VcId vcid) const
+{
+    const VirtualChannel &vc = inputs_[inport].vc(vcid);
+    return (routeQuiet_ && needsRoute(vc)) ||
+           (switchQuiet_ && !vc.empty() &&
+            readyToSend(inport, vcid, net_.now()) == SendCheck::Ready);
 }
 
 bool
@@ -343,12 +386,10 @@ Router::purgeUnroutable(PortId inport, VcId vcid)
         vc.popFlit();
         --*load_;
         --vnetLoad_[vcVnet(vcid)];
+        net_.noteFlitsLost(1);
         creditUpstream(inport, vcid, vc.empty());
     }
     occupied_[inport] &= ~(std::uint64_t{1} << vcid);
-
-    if (spin_ && !inputs_[inport].fromNic())
-        spin_->onFlitDeparture(inport, vcid);
 
     ++net_.stats().packetsUnroutable;
     net_.notifyLost(pkt);
@@ -421,25 +462,23 @@ Router::tryVcAllocation(PortId inport, VcId vcid)
     }
 }
 
-inline bool
+inline Router::SendCheck
 Router::readyToSend(PortId inport, VcId vcid, Cycle now) const
 {
     const VirtualChannel &vc = inputs_[inport].vc(vcid);
-    if (vc.empty() || vc.frozen || !vc.routeValid ||
-        vc.grantedVc == kInvalidId) {
-        return false;
-    }
+    if (vc.frozen || !vc.routeValid || vc.grantedVc == kInvalidId)
+        return SendCheck::Blocked;
     if (vc.front().arrivedAt >= now)
-        return false; // one-cycle router: cannot leave the arrival cycle
+        return SendCheck::Later; // one-cycle router: not in its arrival cycle
     const OutputUnit &out = outputs_[vc.request];
     if (out.credits(vc.grantedVc) <= 0)
-        return false;
+        return SendCheck::Blocked;
     if (out.toNic())
-        return true;
+        return SendCheck::Ready;
     const Link *l = outLink_[vc.request];
     SPIN_ASSERT(l, "granted route over unwired port ", vc.request,
                 " at router ", id_);
-    return l->freeForFlit(now);
+    return l->freeForFlit(now) ? SendCheck::Ready : SendCheck::Later;
 }
 
 void
@@ -450,6 +489,14 @@ Router::allocateSwitch()
 
     if (net_.samplers())
         countCreditStalls(now);
+
+    // Quiescence: a pass that finds no candidate changes nothing. When
+    // every occupied VC also waited on an event that wakes the router
+    // (a grant, a credit, an unfreeze, a new flit) rather than on
+    // something that expires by itself, passes return at once until
+    // such an event.
+    if (switchQuiet_)
+        return;
 
     // Stage 1: one candidate VC per input port (round-robin). Only
     // occupied VCs can be ready, so probe the set bits of the
@@ -462,6 +509,7 @@ Router::allocateSwitch()
         scratchPorts_.resize(n);
     std::uint64_t candMask = 0; // inports holding a candidate
     std::uint64_t reqMask = 0;  // outports requested by any candidate
+    bool later = false;         // some VC waits on nothing but time
     for (PortId inport = 0; inport < n; ++inport) {
         const std::uint64_t occ = occupied_[inport];
         if (occ == 0)
@@ -471,21 +519,25 @@ Router::allocateSwitch()
         for (int half = 0; half < 2; ++half) {
             for (; m != 0; m &= m - 1) {
                 const VcId v = std::countr_zero(m);
-                if (readyToSend(inport, v, now)) {
+                const SendCheck c = readyToSend(inport, v, now);
+                if (c == SendCheck::Ready) {
                     scratchPorts_[inport] = v;
                     candMask |= std::uint64_t{1} << inport;
                     reqMask |= std::uint64_t{1}
                                << inputs_[inport].vc(v).request;
                     break;
                 }
+                later |= c == SendCheck::Later;
             }
             if ((candMask >> inport & 1) != 0)
                 break;
             m = occ & ~(occ >> rr << rr); // the wrap-around half
         }
     }
-    if (candMask == 0)
+    if (candMask == 0) {
+        switchQuiet_ = !later;
         return;
+    }
 
     // Stage 2: one input port per output port (round-robin). Outports
     // nobody requested cannot have a winner and are skipped outright.
@@ -520,7 +572,9 @@ Router::sendFlit(PortId inport, VcId vcid)
     VirtualChannel &vc = inputs_[inport].vc(vcid);
     const PortId outport = vc.request;
     const VcId dvc = vc.grantedVc;
-    const PacketPtr pkt = vc.owner();
+    // The flit keeps the packet alive on its wire past this call, so a
+    // plain pointer does (no reference-count traffic per flit).
+    Packet *const pkt = vc.owner().get();
 
     vc.noteProgress(now);
     Flit f = vc.popFlit();
@@ -546,9 +600,6 @@ Router::sendFlit(PortId inport, VcId vcid)
     }
 
     creditUpstream(inport, vcid, isTail);
-
-    if (spin_ && !inputs_[inport].fromNic())
-        spin_->onFlitDeparture(inport, vcid);
 
     if (isHead && !out.toNic()) {
         ++pkt->hops;
@@ -676,9 +727,6 @@ Router::forceSend(PortId inport, VcId vcid, PortId outport, VcId down_vc,
     ++pkt->spins;
     net_.routing().onHop(*pkt, *this, outport);
     ++net_.stats().packetsRotated;
-
-    if (spin_)
-        spin_->onFlitDeparture(inport, vcid);
 
     if (obs::Tracer *t = net_.trace())
         t->flit(now, "spin_rotate", id_, *pkt, inport, vcid, outport,

@@ -103,9 +103,11 @@ class Router
     /** A credit arrived for downstream VC @p vc of @p outport. */
     void receiveCredit(PortId outport, VcId vc, bool is_free);
     /** Route compute + VC allocation for head packets (parked heads
-     *  are skipped; see the definition). */
+     *  are skipped, a routing-quiet router returns at once; see the
+     *  definition). */
     void computeRoutes();
-    /** Switch allocation + link traversal. */
+    /** Switch allocation + link traversal (a switch-quiet router
+     *  returns at once; see the definition). */
     void allocateSwitch();
     /// @}
 
@@ -129,7 +131,12 @@ class Router
      * a VC it could select or take; the fault injector calls it on
      * every router when the fault state changes.
      */
-    void noteOutputChange() { ++outGen_; }
+    void
+    noteOutputChange()
+    {
+        ++outGen_;
+        wake();
+    }
     /** True when the head in (inport, vc) is parked. */
     bool parked(PortId inport, VcId vc) const;
     /**
@@ -139,6 +146,31 @@ class Router
      * means an output or fault change failed to wake it.
      */
     bool parkingStale(PortId inport, VcId vc) const;
+    /// @}
+
+    /// @name Quiescence (see computeRoutes() and allocateSwitch())
+    /// @{
+    /**
+     * Clear the routing-quiet and switch-quiet flags, so both phases
+     * run again. Called on every event that can give either phase
+     * work: a flit arrival, an output change, an unfreeze, a router
+     * failure. (A credit arrival wakes switch allocation only.)
+     */
+    void
+    wake()
+    {
+        routeQuiet_ = false;
+        switchQuiet_ = false;
+    }
+    bool routingQuiet() const { return routeQuiet_; }
+    bool switchQuiet() const { return switchQuiet_; }
+    /**
+     * Audit hook: true when the router is routing-quiet although
+     * (inport, vc) holds a head computeRoutes() would act on, or
+     * switch-quiet although (inport, vc) could send a flit now. Either
+     * means an event failed to wake the router.
+     */
+    bool quietStale(PortId inport, VcId vc) const;
     /// @}
 
     /**
@@ -192,6 +224,14 @@ class Router
   private:
     Network &net_;
     RouterId id_;
+    /** computeRoutes() found nothing to act on and nothing woke the
+     *  router since (wake()). Kept next to net_: a quiet phase reads
+     *  one cache line of the router. */
+    bool routeQuiet_ = false;
+    /** allocateSwitch() found no VC that could send and none waiting
+     *  on something that expires by itself, and nothing woke the
+     *  router since (wake(), or a credit arrival). */
+    bool switchQuiet_ = false;
     std::vector<InputUnit> inputs_;
     std::vector<OutputUnit> outputs_;
     std::vector<bool> nicPort_;
@@ -278,10 +318,26 @@ class Router
                           bool fresh_too = false) const;
     /** Try to acquire a downstream VC for a routed head. */
     void tryVcAllocation(PortId inport, VcId vcid);
-    /** True when (inport,vc) can send a flit right now. Forced inline:
-     *  it is the innermost probe of switch allocation. */
-    [[gnu::always_inline]] inline bool
+    /** Why (inport, vc) can or cannot send a flit at some cycle. */
+    enum class SendCheck : std::uint8_t
+    {
+        Ready,
+        /** Waits on an event that wakes the router: a grant, a
+         *  credit, an unfreeze. */
+        Blocked,
+        /** Waits on something that expires by itself: a front flit
+         *  that arrived this cycle, or an output link held this cycle
+         *  by an SM or by a multi-flit push. */
+        Later,
+    };
+    /** Can (inport, vc) send a flit at @p now? @pre the VC is not
+     *  empty. Forced inline: it is the innermost probe of switch
+     *  allocation. */
+    [[gnu::always_inline]] inline SendCheck
     readyToSend(PortId inport, VcId vcid, Cycle now) const;
+    /** True when computeRoutes() acts on @p vc: an active, unfrozen,
+     *  ungranted, unparked head at the front of a non-empty VC. */
+    bool needsRoute(const VirtualChannel &vc) const;
     /** Move one flit out: pop, credits, link push, hooks. */
     void sendFlit(PortId inport, VcId vcid);
     /** Accumulate credit-stall telemetry (samplers enabled only). */

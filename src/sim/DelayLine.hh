@@ -13,7 +13,6 @@
 
 #include <deque>
 #include <utility>
-#include <vector>
 
 #include "common/Logging.hh"
 #include "common/Types.hh"
@@ -53,24 +52,12 @@ class DelayLine
         line_.emplace(it, arrival, std::move(item));
     }
 
-    /** Pop every item whose arrival cycle is <= @p now. */
-    std::vector<T>
-    drain(Cycle now)
-    {
-        std::vector<T> out;
-        while (!line_.empty() && line_.front().first <= now) {
-            out.push_back(std::move(line_.front().second));
-            line_.pop_front();
-        }
-        return out;
-    }
-
     /**
-     * Like drain(), but hands each arrival to @p fn instead of building
-     * a vector — the per-cycle path, where the common case is "nothing
-     * arrived" and even the empty-vector return would churn. @p fn gets
-     * a mutable reference and may move from it; the item is popped
-     * right after the call.
+     * Pop every item whose arrival cycle is <= @p now, in arrival
+     * order, handing each to @p fn. No container is built: the common
+     * per-cycle case is "nothing arrived". @p fn gets a mutable
+     * reference and may move from it; the item is popped right after
+     * the call.
      */
     template <typename F>
     void

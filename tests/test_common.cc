@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/Config.hh"
 #include "common/Logging.hh"
@@ -163,18 +164,28 @@ TEST(Clock, TicksMonotonically)
     EXPECT_EQ(c.now(), 0u);
 }
 
+/** Every item of @p dl arriving by @p now, in delivery order. */
+std::vector<int>
+drained(DelayLine<int> &dl, Cycle now)
+{
+    std::vector<int> out;
+    dl.drainInto(now, [&](int &v) { out.push_back(v); });
+    return out;
+}
+
 TEST(DelayLine, InOrderDelivery)
 {
     DelayLine<int> dl;
     dl.push(5, 1);
     dl.push(5, 2);
     dl.push(7, 3);
-    EXPECT_TRUE(dl.drain(4).empty());
-    const auto at5 = dl.drain(5);
+    EXPECT_TRUE(drained(dl, 4).empty());
+    EXPECT_EQ(dl.size(), 3u); // nothing popped before its arrival
+    const auto at5 = drained(dl, 5);
     ASSERT_EQ(at5.size(), 2u);
     EXPECT_EQ(at5[0], 1);
     EXPECT_EQ(at5[1], 2);
-    const auto at7 = dl.drain(10);
+    const auto at7 = drained(dl, 10);
     ASSERT_EQ(at7.size(), 1u);
     EXPECT_EQ(at7[0], 3);
     EXPECT_TRUE(dl.empty());
@@ -186,7 +197,7 @@ TEST(DelayLine, OutOfOrderPushSorts)
     dl.push(9, 1);
     dl.push(4, 2); // earlier arrival pushed later
     dl.push(6, 3);
-    const auto all = dl.drain(20);
+    const auto all = drained(dl, 20);
     ASSERT_EQ(all.size(), 3u);
     EXPECT_EQ(all[0], 2);
     EXPECT_EQ(all[1], 3);

@@ -328,30 +328,50 @@ TEST(CampaignTest, PeriodicAuditPassesOnCleanProtocol)
 
 TEST(CampaignTest, EveryCycleAuditPassesOnCollapsingFavors)
 {
-    // One-VC fully adaptive routing past its knee deadlocks over and
-    // over, so blocked heads park and wake all the time. The auditor,
-    // run at every cycle boundary, checks among the rest that no parked
-    // head missed an output change that should have woken it.
-    std::string err;
-    const SweepSpec spec = parseSpec(
-        R"({"name": "collapse", "topology": "mesh8x8",
-            "presets": ["FAvORS_Min_1VC_SPIN"],
-            "patterns": ["uniform-random"], "rates": [0.30],
-            "seeds": [1], "warmup": 300, "measure": 700,
-            "latencyCap": 400.0})",
-        err);
-    ASSERT_TRUE(err.empty()) << err;
-    CampaignOptions plain;
-    CampaignOptions audited;
-    audited.auditInterval = 1;
-    const obs::JsonValue a = Campaign(spec, plain).run();
-    const obs::JsonValue b = Campaign(spec, audited).run();
-    EXPECT_EQ(a.dump(2), b.dump(2));
-    // The cell really collapsed: it saturated and SPIN probed the
-    // deadlocks that formed.
-    const obs::JsonValue &cell = b["cells"].at(0);
-    EXPECT_TRUE(cell["saturated"].asBool());
-    EXPECT_GT(cell["stats"]["spin"]["probesSent"].asU64(), 0u);
+    // Past their knees both SPIN designs deadlock over and over: blocked
+    // heads park and wake, routers go quiet and wake, and (3 VCs)
+    // probes fork, loops spin and kill_moves unfreeze. The auditor, run
+    // at every cycle boundary, checks among the rest that no parked
+    // head or quiet router missed an event that should have woken it,
+    // and that every flit is accounted for.
+    struct Case
+    {
+        const char *preset;
+        const char *rate;
+        const char *measure;
+        bool recovers; //!< forks, spins and kill_moves in the window
+    };
+    for (const Case &c : {Case{"FAvORS_Min_1VC_SPIN", "0.30", "700", false},
+                          Case{"MinAdaptive_3VC_SPIN", "0.50", "1700",
+                               true}}) {
+        SCOPED_TRACE(c.preset);
+        std::string err;
+        const std::string json =
+            std::string(R"({"name": "collapse", "topology": "mesh8x8",
+                "patterns": ["uniform-random"], "seeds": [1],
+                "warmup": 300, "latencyCap": 400.0, "presets": [")") +
+            c.preset + R"("], "rates": [)" + c.rate +
+            R"(], "measure": )" + c.measure + "}";
+        const SweepSpec spec = parseSpec(json.c_str(), err);
+        ASSERT_TRUE(err.empty()) << err;
+        CampaignOptions plain;
+        CampaignOptions audited;
+        audited.auditInterval = 1;
+        const obs::JsonValue a = Campaign(spec, plain).run();
+        const obs::JsonValue b = Campaign(spec, audited).run();
+        EXPECT_EQ(a.dump(2), b.dump(2));
+        // The cell really collapsed: it saturated and SPIN probed the
+        // deadlocks that formed.
+        const obs::JsonValue &cell = b["cells"].at(0);
+        EXPECT_TRUE(cell["saturated"].asBool());
+        const obs::JsonValue &spin = cell["stats"]["spin"];
+        EXPECT_GT(spin["probesSent"].asU64(), 0u);
+        if (c.recovers) {
+            EXPECT_GT(spin["probesForked"].asU64(), 0u);
+            EXPECT_GT(spin["spins"].asU64(), 0u);
+            EXPECT_GT(spin["killMovesSent"].asU64(), 0u);
+        }
+    }
 }
 
 TEST(CampaignTest, RunCellMatchesCampaignCell)

@@ -3,13 +3,14 @@
  * Unit tests: router building blocks in isolation -- VirtualChannel
  * buffer/state invariants, OutputUnit allocation and credit flow,
  * InputUnit activity scans -- and the router's parking of blocked
- * heads on a small mesh.
+ * heads and its quiet routing / switch phases on a small mesh.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/Logging.hh"
 #include "common/Random.hh"
+#include "core/SpinUnit.hh"
 #include "fault/FaultSchedule.hh"
 #include "network/Network.hh"
 #include "network/NetworkBuilder.hh"
@@ -220,16 +221,17 @@ TEST(InputUnitTest, FromNicFlag)
 constexpr RouterId kAt = 5;
 constexpr RouterId kTo = 10;
 
-/** 4x4 mesh, one VC, FAvORS minimal routing, no deadlock scheme. */
+/** 4x4 mesh, one VC, FAvORS minimal routing, no deadlock scheme
+ *  unless @p scheme says otherwise. */
 std::unique_ptr<Network>
-oneVcMesh()
+oneVcMesh(DeadlockScheme scheme = DeadlockScheme::None)
 {
     NetworkConfig cfg;
     cfg.vnets = 1;
     cfg.vcsPerVnet = 1;
     cfg.vcDepth = 5;
     cfg.maxPacketSize = 5;
-    cfg.scheme = DeadlockScheme::None;
+    cfg.scheme = scheme;
     return buildNetwork(std::make_shared<Topology>(makeMesh(4, 4)), cfg,
                         RoutingKind::FavorsMin);
 }
@@ -258,14 +260,14 @@ localPort(const Network &net)
     return net.topo().portOfNode(net.topo().nodesAt(kAt).front());
 }
 
-/** Offer a 5-flit packet kAt -> kTo and step until its head has been
- *  routed in router kAt's local input VC. @return that VC. */
+/** Offer a @p size-flit packet kAt -> kTo and step until its head has
+ *  been routed in router kAt's local input VC. @return that VC. */
 VirtualChannel &
-injectHead(Network &net)
+injectHead(Network &net, int size = 5)
 {
     const Topology &topo = net.topo();
     net.offerPacket(net.makePacket(topo.nodesAt(kAt).front(),
-                                   topo.nodesAt(kTo).front(), 0, 5));
+                                   topo.nodesAt(kTo).front(), 0, size));
     VirtualChannel &vc = net.router(kAt).input(localPort(net)).vc(0);
     for (int i = 0; i < 20 && !vc.routeValid; ++i)
         net.step();
@@ -395,6 +397,91 @@ TEST(ParkedHeadTest, FaultEventWakesParkedHeads)
     net->step();
     EXPECT_EQ(vc.request, north);
     EXPECT_EQ(vc.grantedVc, kInvalidId);
+}
+
+// ---------------------------------------------------------------------
+// Quiet routers (Router::computeRoutes / Router::allocateSwitch)
+// ---------------------------------------------------------------------
+
+/** Inject a 5-flit packet kAt -> kTo, granted in its arrival cycle,
+ *  then take every credit of its downstream VC, as if they were still
+ *  in flight: the head cannot send. @return its VC. */
+VirtualChannel &
+starvedHead(Network &net)
+{
+    VirtualChannel &vc = injectHead(net);
+    EXPECT_NE(vc.grantedVc, kInvalidId);
+    for (int i = 0; i < net.config().vcDepth; ++i)
+        net.router(kAt).output(vc.request).consumeCredit(vc.grantedVc);
+    return vc;
+}
+
+TEST(QuiescenceTest, SwitchQuietRouterSendsInTheCycleACreditArrives)
+{
+    auto net = oneVcMesh();
+    VirtualChannel &vc = starvedHead(*net);
+    Router &rt = net->router(kAt);
+    for (int i = 0; i < 8; ++i)
+        net->step(); // the whole packet streams in behind the head
+    ASSERT_EQ(vc.size(), 5);
+    EXPECT_TRUE(rt.routingQuiet());
+    EXPECT_TRUE(rt.switchQuiet());
+
+    // One credit comes back over the wire. It lands in the wires phase
+    // and the switch phase of the same cycle sends the head.
+    Link *l = net->outLinkOf(kAt, vc.request);
+    ASSERT_NE(l, nullptr);
+    l->pushCredit(net->now(), CreditMsg{vc.grantedVc, false});
+    net->step();
+    EXPECT_EQ(vc.size(), 4);
+    EXPECT_FALSE(vc.front().isHead());
+}
+
+TEST(QuiescenceTest, UnfreezeWakesBothPhases)
+{
+    auto net = oneVcMesh(DeadlockScheme::Spin);
+    VirtualChannel &vc = starvedHead(*net);
+    Router &rt = net->router(kAt);
+    for (int i = 0; i < 8; ++i)
+        net->step();
+    ASSERT_EQ(vc.size(), 5);
+
+    // Freeze the packet (as a move would), then hand back every
+    // credit: the switch phase wakes, finds the VC frozen, and goes
+    // quiet again without sending.
+    const PortId inport = localPort(*net);
+    const PortId out = vc.request;
+    rt.spinUnit()->freeze(inport, 0, out, kAt, net->now() + 1000);
+    for (int i = 0; i < net->config().vcDepth; ++i)
+        rt.receiveCredit(out, vc.grantedVc, false);
+    EXPECT_FALSE(rt.switchQuiet());
+    net->step();
+    EXPECT_TRUE(rt.switchQuiet());
+    EXPECT_EQ(vc.size(), 5);
+
+    // The release wakes both phases; the head leaves in the next cycle.
+    ASSERT_TRUE(rt.spinUnit()->unfreeze(inport, out));
+    EXPECT_FALSE(rt.routingQuiet());
+    EXPECT_FALSE(rt.switchQuiet());
+    net->step();
+    EXPECT_EQ(vc.size(), 4);
+}
+
+TEST(QuiescenceTest, FrontFlitArrivedThisCycleKeepsSwitchAwake)
+{
+    // A one-flit packet arrives, is routed and granted in its arrival
+    // cycle, and may not leave before the next. No event reaches the
+    // router in that next cycle, so only "arrived this cycle" keeps the
+    // switch phase from going quiet with the flit stranded.
+    auto net = oneVcMesh();
+    Router &rt = net->router(kAt);
+    VirtualChannel &vc = injectHead(*net, 1);
+    ASSERT_NE(vc.grantedVc, kInvalidId);
+    ASSERT_EQ(vc.front().arrivedAt + 1, net->now());
+    EXPECT_FALSE(rt.switchQuiet());
+    net->step();
+    EXPECT_TRUE(vc.empty());
+    EXPECT_EQ(rt.bufferedFlits(), 0);
 }
 
 } // namespace

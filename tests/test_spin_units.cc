@@ -1,11 +1,17 @@
 /**
  * @file
  * Unit tests: SPIN building blocks -- special messages, rotating
- * priority, loop buffer, FSM state names -- and the per-router unit's
- * detection pointer behavior on a live network.
+ * priority, loop buffer, FSM state names, the link-contention order --
+ * and the per-router unit's detection pointer behavior on a live
+ * network.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
+
+#include "common/Random.hh"
 
 #include "core/LoopBuffer.hh"
 #include "core/RotatingPriority.hh"
@@ -246,6 +252,61 @@ TEST(SpinManager, CongestionProbesDontSpinWithoutCycle)
     EXPECT_GT(net->stats().probesSent, 0u);
     EXPECT_EQ(net->stats().spins, 0u);
     EXPECT_EQ(net->stats().movesSent, 0u);
+}
+
+TEST(SpinManager, ContentionKeySortMatchesSortingTheSends)
+{
+    // SpinManager::launch sorts compact keys instead of the sends. The
+    // winner among sends that tie on every compared field is whichever
+    // std::sort puts first (DESIGN.md Sec. 1.3), so the keys must land
+    // in exactly the order std::sort gives the sends themselves. Each
+    // send carries a unique path tag to tell tied sends apart.
+    Random rng(2024);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 1 + static_cast<int>(rng.below(120));
+        const auto prio = [](RouterId r) { return (r * 7) % 5; };
+        std::vector<SmSend> sends;
+        for (int i = 0; i < n; ++i) {
+            SmSend s;
+            s.from = static_cast<RouterId>(rng.below(3));
+            s.outport = static_cast<PortId>(rng.below(2));
+            s.sm.type = rng.below(4) == 0 ? SmType::Move : SmType::Probe;
+            s.sm.sender = static_cast<RouterId>(rng.below(4));
+            s.sm.path = {static_cast<PortId>(i)};
+            sends.push_back(s);
+        }
+
+        std::vector<SmSendKey> keys;
+        for (int i = 0; i < n; ++i) {
+            const SmSend &s = sends[i];
+            keys.push_back(SmSendKey{s.from, s.outport,
+                                     classPriority(s.sm.type),
+                                     prio(s.sm.sender), s.sm.sender,
+                                     static_cast<std::uint32_t>(i)});
+        }
+        sortContention(keys);
+
+        std::vector<SmSend> sorted = sends;
+        std::sort(sorted.begin(), sorted.end(),
+            [&](const SmSend &a, const SmSend &b) {
+                if (a.from != b.from)
+                    return a.from < b.from;
+                if (a.outport != b.outport)
+                    return a.outport < b.outport;
+                const int ca = classPriority(a.sm.type);
+                const int cb = classPriority(b.sm.type);
+                if (ca != cb)
+                    return ca > cb;
+                if (prio(a.sm.sender) != prio(b.sm.sender))
+                    return prio(a.sm.sender) > prio(b.sm.sender);
+                return a.sm.sender < b.sm.sender;
+            });
+
+        for (int i = 0; i < n; ++i) {
+            ASSERT_EQ(sends[keys[i].index].sm.path, sorted[i].sm.path)
+                << "trial " << trial << " position " << i << " of " << n;
+        }
+    }
 }
 
 } // namespace
