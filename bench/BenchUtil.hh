@@ -1,21 +1,26 @@
 /**
  * @file
- * Shared harness for the table/figure reproduction benches: latency
- * versus injection-rate sweeps with warmup, saturation early-exit, and
- * aligned table printing. Every bench accepts:
+ * Shared harness for the classic table/figure benches (fig03, fig08a,
+ * the ablations and chaos_smoke): one CLI option set, metrics/trace/
+ * profile attachment, a wall-clock watchdog and the JSON reporter. The
+ * latency and recovery figures (Figs. 6, 7, 8b, 9) are sweep campaigns
+ * and run through `spin_sweep --spec figNN` instead. The flags:
  *
- *   --warmup N     warmup cycles per point
- *   --measure N    measurement cycles per point
- *   --fast         quarter-scale run for smoke testing
- *   --seed N       override the preset's RNG seed
- *   --json PATH    also write the results as machine-readable JSON
- *   --trace PATH   capture a Chrome trace (chrome://tracing / Perfetto)
- *                  of the first simulated network
+ *   --warmup N, --measure N  injection windows (chaos_smoke only)
+ *   --fast           quarter-scale run for smoke testing
+ *   --seed N         override the preset's RNG seed
+ *   --json PATH      also write the results as machine-readable JSON
+ *   --trace PATH     capture a Chrome trace (chrome://tracing /
+ *                    Perfetto) of the simulated network (chaos_smoke)
+ *   --faults PATH    replace chaos_smoke's built-in fault schedule
+ *   --metrics PATH, --metrics-interval N  spin-metrics/v2 JSONL
+ *   --profile        per-phase wall-clock attribution
+ *   --threads N      threads inside each simulated network
+ *   --reliability and its knobs, --wall-limit N
  *
- * Unknown flags are rejected with the usage message. The printed
- * rows/series match the paper's figure; absolute numbers differ from
- * the paper's gem5 testbed, the *shape* (who saturates first, by
- * roughly what factor) is what EXPERIMENTS.md validates.
+ * Unknown flags are rejected with the usage message. The printed rows
+ * match the paper's table or figure; absolute numbers differ from the
+ * paper's gem5 testbed, the *shape* is what EXPERIMENTS.md validates.
  */
 
 #ifndef SPINNOC_BENCH_BENCHUTIL_HH
@@ -26,7 +31,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,7 +38,6 @@
 #include <vector>
 
 #include "common/Logging.hh"
-#include "deadlock/Invariants.hh"
 #include "exp/ArgParse.hh"
 #include "exp/Report.hh"
 #include "fault/FaultSchedule.hh"
@@ -61,9 +64,6 @@ struct Options
     std::string faultsPath;
     std::string metricsPath;
     Cycle metricsInterval = 256;
-    /** Run the invariant auditor every N cycles; 0 disables. A
-     *  violation fails the bench fast with a spin-audit/v1 report. */
-    Cycle auditInterval = 0;
     bool profile = false;
     /** Threads inside each simulated network's step() (--threads).
      *  Results are bit-identical for any value (docs/SCALING.md), so
@@ -87,8 +87,8 @@ struct Options
     usage()
     {
         return "options:\n"
-               "  --warmup N     warmup cycles per point\n"
-               "  --measure N    measurement cycles per point\n"
+               "  --warmup N     warmup cycles (chaos_smoke)\n"
+               "  --measure N    measurement cycles (chaos_smoke)\n"
                "  --fast         quarter-scale smoke run\n"
                "  --seed N       override the preset RNG seed\n"
                "  --json PATH    write results as JSON\n"
@@ -100,9 +100,6 @@ struct Options
                "simulated network\n"
                "  --metrics-interval N  metrics window in cycles "
                "(default 256)\n"
-               "  --audit N      run the invariant auditor every N "
-               "cycles;\n"
-               "                 fail fast with a spin-audit/v1 report\n"
                "  --profile      per-phase wall-clock attribution\n"
                "  --threads N    threads inside each simulated network\n"
                "                 (default 1; bit-identical results for "
@@ -142,7 +139,6 @@ struct Options
             exp::argStr("--faults", &o.faultsPath),
             exp::argStr("--metrics", &o.metricsPath),
             exp::argU64("--metrics-interval", &o.metricsInterval),
-            exp::argU64("--audit", &o.auditInterval),
             exp::argFlag("--profile", &o.profile),
             exp::argU64("--threads", &o.threads),
             exp::argFlag("--reliability", &o.reliability),
@@ -211,11 +207,12 @@ struct Options
 };
 
 /**
- * Shared append stream for --metrics: a bench simulates many networks
- * (one per sweep point) that all publish into one JSONL file, so the
- * stream is opened once per path and every network gets a borrowing
- * StreamMetricsSink. Returns nullptr (after complaining once) when the
- * path cannot be opened. Benches are single-threaded by construction.
+ * Shared append stream for --metrics: a bench may simulate many
+ * networks (fig03 builds one per rate) that all publish into one JSONL
+ * file, so the stream is opened once per path and every network gets
+ * a borrowing StreamMetricsSink. Returns nullptr (after complaining
+ * once) when the path cannot be opened. Benches are single-threaded by
+ * construction.
  */
 inline std::ostream *
 sharedMetricsStream(const std::string &path)
@@ -308,189 +305,10 @@ class WallLimitGuard
     std::uint64_t ticks_ = 0;
 };
 
-/** One point of a latency/throughput sweep. */
-struct SweepPoint
-{
-    double rate = 0.0;
-    double latency = 0.0;    //!< avg end-to-end latency, cycles
-    double throughput = 0.0; //!< received flits/node/cycle
-    bool saturated = false;
-};
-
-/** Result of a sweep: points plus the estimated saturation rate. */
-struct SweepResult
-{
-    std::vector<SweepPoint> points;
-    /**
-     * Last offered rate whose received throughput stayed within 10% of
-     * offered and whose latency stayed under the saturation cap.
-     */
-    double saturationRate = 0.0;
-};
-
 /**
- * Run one latency-vs-injection sweep.
- *
- * A point counts as saturated when the average latency exceeds
- * @p latency_cap or throughput falls >10% below offered load; the sweep
- * stops two points after first saturation (enough to draw the knee).
- *
- * @p instrument, when set, is invoked on each freshly built network
- * before simulation starts (e.g. to attach a tracer or samplers).
- */
-inline SweepResult
-sweep(const ConfigPreset &preset,
-      const std::shared_ptr<const Topology> &topo, Pattern pattern,
-      const std::vector<double> &rates, const Options &opt,
-      double latency_cap = 400.0,
-      const std::function<void(Network &)> &instrument = {})
-{
-    SweepResult res;
-    // Fold the CLI execution overrides (--seed, --threads) into the
-    // preset once; every point of the sweep runs the same config.
-    ConfigPreset p0 = preset;
-    opt.apply(p0);
-    // The --wall-limit budget covers the whole sweep, not one point: a
-    // wedged point should fail the bench, not hand the remaining rates
-    // a fresh clock.
-    WallLimitGuard wall(opt.wallLimit);
-    int past_saturation = 0;
-    for (const double rate : rates) {
-        if (past_saturation >= 2)
-            break;
-        auto net = p0.build(topo);
-        if (instrument)
-            instrument(*net);
-        {
-            char lbl[192];
-            std::snprintf(lbl, sizeof(lbl), "%s|%s|%.3f",
-                          p0.name.c_str(),
-                          toString(pattern).c_str(), rate);
-            attachMetrics(*net, opt, lbl);
-        }
-        if (opt.profile)
-            net->enableProfiler();
-        if (!opt.faultsPath.empty()) {
-            fault::FaultSchedule fs;
-            std::string ferr;
-            if (!fault::FaultSchedule::fromFile(opt.faultsPath, fs,
-                                                ferr))
-                SPIN_FATAL(ferr);
-            net->attachFaults(std::move(fs));
-        }
-        InjectorConfig icfg;
-        icfg.injectionRate = rate;
-        icfg.seed = p0.cfg.seed + 1;
-        SyntheticInjector inj(*net, pattern, icfg);
-        // --audit N: sample the runtime invariant auditor (the same
-        // oracle spin_model applies per cycle) and fail the bench fast
-        // on the first violation, leaving the report for CI artifacts.
-        const auto maybeAudit = [&]() {
-            if (opt.auditInterval == 0 ||
-                net->now() % opt.auditInterval != 0) {
-                return;
-            }
-            const AuditReport rep = auditNetwork(*net);
-            if (rep.clean())
-                return;
-            obs::JsonValue doc = rep.toJson();
-            doc.set("cycle", obs::JsonValue(net->now()));
-            const char *path = "spin-audit-violation.json";
-            std::ofstream os(path);
-            os << doc.dump(2) << '\n';
-            SPIN_FATAL("invariant audit failed at cycle ", net->now(),
-                       " (", rep.violations.size(), " violation(s): ",
-                       rep.violations.front(), "); report: ", path);
-        };
-        for (Cycle i = 0; i < opt.warmup; ++i) {
-            inj.tick();
-            net->step();
-            maybeAudit();
-            wall.check(*net);
-        }
-        net->beginMeasurement();
-        for (Cycle i = 0; i < opt.measure; ++i) {
-            inj.tick();
-            net->step();
-            maybeAudit();
-            wall.check(*net);
-        }
-        if (opt.profile)
-            profileTotals().merge(*net->profiler());
-        SweepPoint p;
-        p.rate = rate;
-        p.latency = net->stats().avgLatency();
-        p.throughput = net->stats().throughput(net->numNodes(),
-                                               net->now());
-        p.saturated = p.latency > latency_cap ||
-                      p.throughput < 0.9 * rate;
-        if (p.saturated)
-            ++past_saturation;
-        else
-            res.saturationRate = rate;
-        res.points.push_back(p);
-    }
-    return res;
-}
-
-/** Print one sweep as a table block. */
-inline void
-printSweep(const std::string &config, const std::string &pattern,
-           const SweepResult &res)
-{
-    std::printf("## %s | %s\n", config.c_str(), pattern.c_str());
-    std::printf("%10s %14s %14s %6s\n", "rate", "latency(cy)",
-                "thru(f/n/c)", "sat");
-    for (const SweepPoint &p : res.points) {
-        std::printf("%10.3f %14.2f %14.4f %6s\n", p.rate, p.latency,
-                    p.throughput, p.saturated ? "yes" : "");
-    }
-    std::printf("-> saturation throughput ~ %.3f flits/node/cycle\n\n",
-                res.saturationRate);
-}
-
-/** Geometric ladder of injection rates. */
-inline std::vector<double>
-rateLadder(double lo, double hi, int points)
-{
-    std::vector<double> rates;
-    if (points <= 1) {
-        rates.push_back(lo);
-        return rates;
-    }
-    const double step = (hi - lo) / (points - 1);
-    for (int i = 0; i < points; ++i)
-        rates.push_back(lo + step * i);
-    return rates;
-}
-
-/** JSON image of one sweep (same fields as printSweep's table). */
-inline obs::JsonValue
-sweepToJson(const SweepResult &res)
-{
-    using obs::JsonValue;
-    JsonValue o = JsonValue::object();
-    JsonValue pts = JsonValue::array();
-    for (const SweepPoint &p : res.points) {
-        JsonValue pt = JsonValue::object();
-        pt.set("rate", JsonValue(p.rate));
-        pt.set("latency", JsonValue(p.latency));
-        pt.set("throughput", JsonValue(p.throughput));
-        pt.set("saturated", JsonValue(p.saturated));
-        pts.push(std::move(pt));
-    }
-    o.set("points", std::move(pts));
-    o.set("saturationRate", JsonValue(res.saturationRate));
-    return o;
-}
-
-/**
- * Attaches a Chrome trace to the *first* network it is offered (a
- * sweep builds one network per rate; tracing them all would interleave
- * runs in one file). Pass via the sweep() instrument hook:
- *
- *   TraceAttacher ta(opt.tracePath);
- *   sweep(..., opt, cap, [&](Network &n) { ta(n); });
+ * Attaches a Chrome trace to the *first* network it is offered, so a
+ * bench that builds several networks never interleaves runs in one
+ * file.
  */
 class TraceAttacher
 {
@@ -518,9 +336,8 @@ class TraceAttacher
 };
 
 /**
- * Collects every sweep (and any extra sections) of a bench run and, on
- * request, writes them as one JSON document -- the machine-readable
- * twin of the printed tables.
+ * Collects the sections of a bench run and, on request, writes them as
+ * one JSON document -- the machine-readable twin of the printed tables.
  */
 class BenchReporter
 {
@@ -540,26 +357,9 @@ class BenchReporter
         if (!opt.faultsPath.empty())
             o.set("faults", JsonValue(opt.faultsPath));
         root_.set("options", std::move(o));
-        root_.set("sweeps", JsonValue::array());
     }
 
-    /** Print the sweep table and record it for the JSON export. */
-    void
-    addSweep(const std::string &config, const std::string &pattern,
-             const SweepResult &res)
-    {
-        printSweep(config, pattern, res);
-        using obs::JsonValue;
-        JsonValue s = sweepToJson(res);
-        JsonValue entry = JsonValue::object();
-        entry.set("config", JsonValue(config));
-        entry.set("pattern", JsonValue(pattern));
-        for (auto &kv : s.members())
-            entry.set(kv.first, std::move(kv.second));
-        root_.find("sweeps")->push(std::move(entry));
-    }
-
-    /** Attach an arbitrary extra section (e.g. raw Stats::toJson()). */
+    /** Attach a section (e.g. raw Stats::toJson()). */
     void
     add(const std::string &section, obs::JsonValue v)
     {

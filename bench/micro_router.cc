@@ -93,9 +93,8 @@ BENCHMARK(BM_DragonflyStep)->Arg(1)->Arg(15)
 
 /**
  * Sharded-step scaling on the 1024-router torus (docs/SCALING.md):
- * the arg is the `threads` value, so CI's BENCH_sweep.json records a
- * cells/sec row per thread count and the t4/t1 ratio is the scaling
- * evidence. Uniform random at 0.30 keeps every shard busy without
+ * the arg is the `threads` value, so each row is the cycles/s at one
+ * thread count and the t4/t1 ratio is the scaling evidence. Uniform random at 0.30 keeps every shard busy without
  * saturating, which is where the barrier overhead would hide.
  */
 void

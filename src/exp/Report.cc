@@ -34,6 +34,9 @@ printSeries(const obs::JsonValue &results)
     }
 }
 
+namespace
+{
+
 void
 printSaturationSummary(const obs::JsonValue &results)
 {
@@ -47,6 +50,7 @@ printSaturationSummary(const obs::JsonValue &results)
                     s["pattern"].asString().c_str(),
                     s["saturationRate"].asNumber());
     }
+    std::printf("\n");
 }
 
 void
@@ -70,6 +74,7 @@ printLinkUtilization(const obs::JsonValue &results)
                     100 * flit, 100 * probe, 100 * move,
                     100 * (probe + move), 100 * idle);
     }
+    std::printf("\n");
 }
 
 void
@@ -97,6 +102,26 @@ printSpinCounts(const obs::JsonValue &results)
             static_cast<unsigned long long>(sp["probesReturned"].asU64()));
     }
     std::printf("\n");
+}
+
+} // namespace
+
+void
+printReport(CampaignReport report, const obs::JsonValue &results)
+{
+    switch (report) {
+      case CampaignReport::None:
+        break;
+      case CampaignReport::SaturationSummary:
+        printSaturationSummary(results);
+        break;
+      case CampaignReport::LinkUtilization:
+        printLinkUtilization(results);
+        break;
+      case CampaignReport::SpinCounts:
+        printSpinCounts(results);
+        break;
+    }
 }
 
 bool

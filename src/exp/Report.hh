@@ -3,10 +3,9 @@
  * Console reports over aggregated campaign results.
  *
  * Every printer consumes the spin-sweep/v1 results document produced by
- * Campaign::run() (see docs/SWEEP.md) so the sweep runner and the
- * figure wrappers in bench/ share one presentation layer: spin_sweep
- * prints the latency series for any spec, and each figure binary picks
- * the table that matches its paper artifact.
+ * Campaign::run() (see docs/SWEEP.md). spin_sweep prints the latency
+ * series for any spec; a built-in figure spec also names the table that
+ * matches its paper artifact (SweepSpec.cc), printed after the series.
  */
 
 #ifndef SPINNOC_EXP_REPORT_HH
@@ -22,25 +21,20 @@ namespace spin::exp
 /** Per-series latency/throughput tables (one block per series). */
 void printSeries(const obs::JsonValue &results);
 
-/**
- * Saturation-throughput summary: one `config pattern sat` row per
- * series, the closing table of the latency figure benches.
- */
-void printSaturationSummary(const obs::JsonValue &results);
+/** The table a built-in figure spec prints after its series. */
+enum class CampaignReport
+{
+    None,              ///< series only (ci-*, scaling-*, spec files)
+    SaturationSummary, ///< Figs. 6/7: one `config pattern sat` row per
+                       ///< series
+    LinkUtilization,   ///< Fig. 8b: flit / probe-SM / move-SM / idle
+                       ///< cycle fractions per cell
+    SpinCounts,        ///< Fig. 9: spins, false positives and probes per
+                       ///< cell, a header per (preset, pattern) group
+};
 
-/**
- * Fig. 8b-style link-utilization breakdown: one row per cell with the
- * flit / probe-SM / move-SM / idle cycle fractions.
- */
-void printLinkUtilization(const obs::JsonValue &results);
-
-/**
- * Fig. 9-style spin-count table: one row per cell with spins,
- * false-positive spins, and probe traffic; a header per (preset,
- * pattern) group (cells arrive in expansion order, so groups are
- * contiguous).
- */
-void printSpinCounts(const obs::JsonValue &results);
+/** Print @p report's table; nothing for CampaignReport::None. */
+void printReport(CampaignReport report, const obs::JsonValue &results);
 
 /** Write @p doc to @p path as indented JSON; complains on stderr. */
 bool writeJsonFile(const std::string &path, const obs::JsonValue &doc);

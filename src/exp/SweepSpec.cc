@@ -559,16 +559,18 @@ namespace
 struct BuiltinSpecText
 {
     const char *name;
+    CampaignReport report; //!< table spin_sweep prints after the series
     const char *json;
 };
 
 /**
  * The shipped campaigns. Kept as JSON text so the spec parser is the
  * single source of truth (and permanently dogfooded); EXPERIMENTS.md
- * documents each one's paper artifact.
+ * documents each one's paper artifact. A figure spec names the paper
+ * table it reproduces.
  */
 const BuiltinSpecText kBuiltins[] = {
-    {"fig06",
+    {"fig06", CampaignReport::SaturationSummary,
      R"({"name": "fig06", "topology": "dragonfly",
          "presets": ["UGAL_3VC_Dally", "UGAL_3VC_SPIN",
                      "Minimal_1VC_SPIN", "FAvORS_NMin_1VC_SPIN"],
@@ -576,7 +578,7 @@ const BuiltinSpecText kBuiltins[] = {
                       "tornado", "neighbor"],
          "rates": {"lo": 0.02, "hi": 0.32, "points": 6},
          "warmup": 1200, "measure": 2000, "latencyCap": 600.0})"},
-    {"fig07",
+    {"fig07", CampaignReport::SaturationSummary,
      R"({"name": "fig07", "topology": "mesh8x8",
          "presets": ["WestFirst_3VC", "EscapeVC_3VC", "StaticBubble_3VC",
                      "MinAdaptive_3VC_SPIN", "WestFirst_1VC",
@@ -585,19 +587,19 @@ const BuiltinSpecText kBuiltins[] = {
                       "bit-rotation", "tornado"],
          "rates": {"lo": 0.02, "hi": 0.62, "points": 11},
          "warmup": 2000, "measure": 4000, "latencyCap": 400.0})"},
-    {"fig08b",
+    {"fig08b", CampaignReport::LinkUtilization,
      R"({"name": "fig08b", "topology": "mesh8x8",
          "presets": ["MinAdaptive_3VC_SPIN"],
          "patterns": ["uniform-random"],
          "rates": [0.01, 0.2, 0.5],
          "warmup": 2000, "measure": 10000, "latencyCap": 400.0})"},
-    {"fig09-mesh",
+    {"fig09-mesh", CampaignReport::SpinCounts,
      R"({"name": "fig09-mesh", "topology": "mesh8x8",
          "presets": ["MinAd_1vnet_1VC_SPIN", "MinAd_1vnet_3VC_SPIN"],
          "patterns": ["uniform-random"],
          "rates": [0.05, 0.15, 0.25, 0.35, 0.45],
          "warmup": 0, "measure": 20000, "latencyCap": 1e9})"},
-    {"fig09-dragonfly",
+    {"fig09-dragonfly", CampaignReport::SpinCounts,
      R"({"name": "fig09-dragonfly", "topology": "dragonfly",
          "presets": ["MinAd_1vnet_1VC_SPIN", "UGAL_1vnet_3VC_SPIN"],
          "patterns": ["bit-complement"],
@@ -606,7 +608,7 @@ const BuiltinSpecText kBuiltins[] = {
     // Reduced spec: the CI smoke gate and the README quickstart. Biased
     // toward at-and-below-knee loads where the idle-router fast path
     // matters; one deep-saturation point keeps SPIN recovery covered.
-    {"ci-smoke",
+    {"ci-smoke", CampaignReport::None,
      R"({"name": "ci-smoke", "topology": "mesh8x8",
          "presets": ["WestFirst_3VC", "MinAdaptive_3VC_SPIN",
                      "FAvORS_Min_1VC_SPIN"],
@@ -616,7 +618,7 @@ const BuiltinSpecText kBuiltins[] = {
     // Fault-dimension smoke: every cell runs once intact and once with
     // 2 and 4 random link failures injected mid-warmup. Two seeds so
     // CI exercises distinct degraded topologies each run.
-    {"ci-faults",
+    {"ci-faults", CampaignReport::None,
      R"({"name": "ci-faults", "topology": "mesh8x8",
          "presets": ["WestFirst_3VC", "MinAdaptive_3VC_SPIN"],
          "patterns": ["uniform-random"],
@@ -626,9 +628,8 @@ const BuiltinSpecText kBuiltins[] = {
          "warmup": 300, "measure": 700, "latencyCap": 400.0})"},
     // Thread-scaling gate: one large-topology cell (1024 routers, the
     // size docs/SCALING.md quotes speedups for). CI runs it twice,
-    // --threads 1 and --threads 4, and diffs the aggregates; a perf
-    // row lands in BENCH_sweep.json via micro_router as well.
-    {"scaling-torus32",
+    // --threads 1 and --threads 4, and diffs the aggregates.
+    {"scaling-torus32", CampaignReport::None,
      R"({"name": "scaling-torus32", "topology": "torus32x32",
          "presets": ["MinAdaptive_3VC_SPIN"],
          "patterns": ["uniform-random"],
@@ -648,7 +649,8 @@ builtinSpecNames()
 }
 
 bool
-builtinSpec(const std::string &name, SweepSpec &out)
+builtinSpec(const std::string &name, SweepSpec &out,
+            CampaignReport *report)
 {
     for (const BuiltinSpecText &b : kBuiltins) {
         if (name == b.name) {
@@ -660,6 +662,8 @@ builtinSpec(const std::string &name, SweepSpec &out)
             std::string serr;
             const bool ok = SweepSpec::fromJson(doc, out, serr);
             SPIN_ASSERT(ok, "builtin spec ", b.name, " invalid: ", serr);
+            if (report)
+                *report = b.report;
             return true;
         }
     }

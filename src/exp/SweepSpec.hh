@@ -9,9 +9,8 @@
  * over one topology: every combination is one *cell*, an independent
  * single-network simulation with its own deterministically derived RNG
  * seed. Specs are JSON documents (grammar in docs/SWEEP.md); the
- * paper's figure sweeps ship as built-in specs so
- * `spin_sweep --spec fig07` and `bench/fig07_mesh_perf` are the same
- * campaign.
+ * paper's latency and recovery figure sweeps ship as built-in specs,
+ * so `spin_sweep --spec fig07` reproduces Fig. 7.
  *
  * Determinism contract: a cell's seed depends only on the cell's
  * coordinates (preset name, pattern, rate, seed-list entry) and the
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "common/Types.hh"
+#include "exp/Report.hh"
 #include "network/NetworkBuilder.hh"
 #include "obs/Json.hh"
 #include "topology/Topology.hh"
@@ -132,8 +132,12 @@ bool patternFromString(const std::string &text, Pattern &out);
 /// @{
 /** Names of the shipped campaign specs (paper figures + ci-smoke). */
 std::vector<std::string> builtinSpecNames();
-/** Load a built-in spec; false when @p name is not built in. */
-bool builtinSpec(const std::string &name, SweepSpec &out);
+/**
+ * Load a built-in spec; false when @p name is not built in. @p report,
+ * when given, receives the table the spec prints after its series.
+ */
+bool builtinSpec(const std::string &name, SweepSpec &out,
+                 CampaignReport *report = nullptr);
 /// @}
 
 /**

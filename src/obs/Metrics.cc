@@ -382,8 +382,7 @@ NetworkMetrics::emitWindow(Cycle now)
 
     // Counter deltas. beginMeasurement re-baselines through
     // onMeasurementBegin, so a cumulative value below its baseline can
-    // only mean an out-of-band reset; restart from zero like the
-    // samplers do.
+    // only mean an out-of-band reset; restart from zero.
     b += ",\"counters\":{";
     const auto &cnames = reg_.counters_;
     std::uint64_t flitsEjected = 0, packetsEjected = 0, latencySum = 0;

@@ -20,7 +20,7 @@
  * per window. All record content derives from simulation state alone,
  * so the stream is bit-identical across runs and worker counts.
  *
- * Hot-path contract (same as Tracer/Samplers): the Network holds a
+ * Hot-path contract (same as the Tracer): the Network holds a
  * `unique_ptr<NetworkMetrics>` that is null unless enableMetrics() was
  * called; Network::step() pays exactly one predicted branch per cycle
  * when metrics are disabled, and one modulo check per cycle when they

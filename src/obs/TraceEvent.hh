@@ -20,7 +20,6 @@ namespace spin::obs
 inline constexpr std::uint32_t kCatFlit = 1u << 0;     //!< flit lifecycle
 inline constexpr std::uint32_t kCatSpin = 1u << 1;     //!< SPIN protocol
 inline constexpr std::uint32_t kCatLink = 1u << 2;     //!< link traversal
-inline constexpr std::uint32_t kCatSample = 1u << 3;   //!< sampler output
 inline constexpr std::uint32_t kCatForensic = 1u << 4; //!< loop snapshots
 inline constexpr std::uint32_t kCatFault = 1u << 5;    //!< fault injection
 inline constexpr std::uint32_t kCatAll = 0xffffffffu;

@@ -25,8 +25,6 @@ categoryName(std::uint32_t cat)
         return "spin";
     if (cat & kCatLink)
         return "link";
-    if (cat & kCatSample)
-        return "sample";
     if (cat & kCatForensic)
         return "forensic";
     if (cat & kCatFault)
@@ -56,8 +54,6 @@ parseCategoryMask(const char *list)
             mask |= kCatSpin;
         else if (is("link"))
             mask |= kCatLink;
-        else if (is("sample"))
-            mask |= kCatSample;
         else if (is("forensic"))
             mask |= kCatForensic;
         else if (is("fault"))

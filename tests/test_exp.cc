@@ -127,12 +127,15 @@ TEST(SweepSpecTest, BuiltinSpecsAllValidateAndExpand)
     }
     SweepSpec s;
     EXPECT_FALSE(builtinSpec("no-such-spec", s));
-    // The figure grids are pinned: a silent change to a built-in spec
-    // would silently change what "reproduce Fig. N" means.
-    ASSERT_TRUE(builtinSpec("fig07", s));
+    // The figure grids and tables are pinned: a silent change to a
+    // built-in spec would silently change what "reproduce Fig. N" means.
+    CampaignReport table = CampaignReport::None;
+    ASSERT_TRUE(builtinSpec("fig07", s, &table));
     EXPECT_EQ(s.expand().size(), 6u * 5 * 11);
-    ASSERT_TRUE(builtinSpec("ci-smoke", s));
+    EXPECT_EQ(table, CampaignReport::SaturationSummary);
+    ASSERT_TRUE(builtinSpec("ci-smoke", s, &table));
     EXPECT_EQ(s.expand().size(), 3u * 2 * 5);
+    EXPECT_EQ(table, CampaignReport::None);
 }
 
 TEST(SweepSpecTest, SpecRoundTripsThroughJson)

@@ -2,9 +2,9 @@
  * @file
  * Telemetry subsystem tests: the JSON document model (round-trips),
  * Stats::toJson / latencyPercentile edges, the trace sinks (JSONL and
- * Chrome trace_event), tracer filters, samplers, deadlock forensics
- * cross-checked against the oracle, the bench JSON export, and the
- * hardened bench option parser.
+ * Chrome trace_event), tracer filters, deadlock forensics
+ * cross-checked against the oracle, and the hardened bench option
+ * parser.
  */
 
 #include <cstdio>
@@ -20,11 +20,8 @@
 #include "fault/FaultSchedule.hh"
 #include "obs/Forensics.hh"
 #include "obs/Json.hh"
-#include "obs/Samplers.hh"
 #include "obs/Tracer.hh"
 #include "stats/Stats.hh"
-#include "topology/Mesh.hh"
-#include "traffic/SyntheticInjector.hh"
 
 using namespace spin;
 using obs::JsonValue;
@@ -343,54 +340,6 @@ TEST(Tracer, RouterRestrictionFilters)
 }
 
 // ---------------------------------------------------------------------
-// Samplers
-// ---------------------------------------------------------------------
-
-TEST(Samplers, RingSeriesWrapsAtCapacity)
-{
-    obs::RingSeries s(4);
-    for (int i = 0; i < 10; ++i)
-        s.push(static_cast<Cycle>(i), i * 1.0);
-    EXPECT_EQ(s.size(), 4u);
-    EXPECT_EQ(s.total(), 10u);
-    // Oldest retained is sample 6, newest is 9.
-    EXPECT_EQ(s.at(0).second, 6.0);
-    EXPECT_EQ(s.back(), 9.0);
-}
-
-TEST(Samplers, CaptureOccupancyDuringDeadlock)
-{
-    auto net = ringNetwork(6, DeadlockScheme::Spin);
-    obs::SamplerConfig scfg;
-    scfg.period = 8;
-    net->enableSampling(scfg);
-    injectRingDeadlock(*net);
-    drain(*net, 5000);
-
-    const obs::NetworkSamplers *s = net->samplers();
-    ASSERT_NE(s, nullptr);
-    EXPECT_GT(s->samplesTaken(), 0u);
-    // While deadlocked, some router input VC held buffered flits.
-    double max_occ = 0.0;
-    for (RouterId r = 0; r < net->numRouters(); ++r) {
-        const obs::RingSeries &occ = s->routerOccupancy(r);
-        for (std::size_t i = 0; i < occ.size(); ++i)
-            max_occ = std::max(max_occ, occ.at(i).second);
-    }
-    EXPECT_GT(max_occ, 0.0);
-
-    // The JSON dump parses and covers every router.
-    std::string err;
-    const JsonValue j = JsonValue::parse(s->toJson().dump(), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    EXPECT_EQ(j["routerOccupancy"].size(),
-              static_cast<std::size_t>(net->numRouters()));
-    EXPECT_EQ(j["linkUtilization"].size(),
-              static_cast<std::size_t>(net->numLinks()));
-    EXPECT_EQ(j["samplesTaken"].asU64(), s->samplesTaken());
-}
-
-// ---------------------------------------------------------------------
 // Forensics
 // ---------------------------------------------------------------------
 
@@ -485,7 +434,6 @@ TEST(Telemetry, DumpParsesAndMatchesLiveState)
 {
     auto net = ringNetwork(6, DeadlockScheme::Spin);
     net->enableForensics();
-    net->enableSampling();
     injectRingDeadlock(*net);
     drain(*net, 5000);
 
@@ -498,7 +446,6 @@ TEST(Telemetry, DumpParsesAndMatchesLiveState)
               static_cast<std::uint64_t>(net->numRouters()));
     EXPECT_EQ(j["config"]["scheme"].asString(), "spin");
     EXPECT_EQ(j["stats"]["spin"]["spins"].asU64(), net->stats().spins);
-    EXPECT_NE(j.find("samplers"), nullptr);
     EXPECT_NE(j.find("forensics"), nullptr);
 
     const std::string path =
@@ -515,57 +462,8 @@ TEST(Telemetry, DumpParsesAndMatchesLiveState)
 }
 
 // ---------------------------------------------------------------------
-// Bench harness: JSON export and option parsing
+// Bench harness option parsing
 // ---------------------------------------------------------------------
-
-TEST(BenchJson, SweepExportMatchesSweepResult)
-{
-    bench::Options opt;
-    opt.warmup = 200;
-    opt.measure = 400;
-    auto topo = std::make_shared<Topology>(makeMesh(4, 4));
-    const ConfigPreset preset = meshPresets3Vc()[0];
-    const bench::SweepResult res = bench::sweep(
-        preset, topo, Pattern::UniformRandom, {0.05, 0.1}, opt);
-    ASSERT_EQ(res.points.size(), 2u);
-
-    std::string err;
-    const JsonValue j =
-        JsonValue::parse(bench::sweepToJson(res).dump(2), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    const JsonValue &pts = j["points"];
-    ASSERT_EQ(pts.size(), res.points.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        EXPECT_EQ(pts.at(i)["rate"].asNumber(), res.points[i].rate);
-        EXPECT_EQ(pts.at(i)["latency"].asNumber(),
-                  res.points[i].latency);
-        EXPECT_EQ(pts.at(i)["throughput"].asNumber(),
-                  res.points[i].throughput);
-        EXPECT_EQ(pts.at(i)["saturated"].asBool(),
-                  res.points[i].saturated);
-    }
-    EXPECT_EQ(j["saturationRate"].asNumber(), res.saturationRate);
-    EXPECT_GT(res.points[0].throughput, 0.0);
-}
-
-TEST(BenchJson, ReporterCollectsSweepsUnderRoot)
-{
-    bench::Options opt;
-    bench::BenchReporter report("unit_test_bench", opt);
-    bench::SweepResult res;
-    res.points.push_back({0.1, 20.0, 0.099, false});
-    res.saturationRate = 0.1;
-    report.addSweep("cfgA", "uniform", res);
-
-    std::string err;
-    const JsonValue j = JsonValue::parse(report.root().dump(2), &err);
-    ASSERT_TRUE(err.empty()) << err;
-    EXPECT_EQ(j["bench"].asString(), "unit_test_bench");
-    ASSERT_EQ(j["sweeps"].size(), 1u);
-    EXPECT_EQ(j["sweeps"].at(0)["config"].asString(), "cfgA");
-    EXPECT_EQ(j["sweeps"].at(0)["pattern"].asString(), "uniform");
-    EXPECT_EQ(j["sweeps"].at(0)["points"].size(), 1u);
-}
 
 namespace
 {
@@ -655,7 +553,6 @@ TEST(Telemetry, DisabledTracingChangesNothing)
     traced->setTracer(std::make_unique<obs::Tracer>(
         std::make_unique<obs::JsonlSink>(ss)));
     traced->enableForensics();
-    traced->enableSampling();
     injectRingDeadlock(*traced);
     const Cycle t_traced = drain(*traced, 5000);
 
@@ -699,97 +596,6 @@ TEST(StatsJson, KeyOrderIsDeterministic)
     const Stats empty;
     EXPECT_EQ(empty.latencyPercentile(0.5), 0.0);
     EXPECT_EQ(empty.toJson()["derived"]["p99Latency"].asNumber(), 0.0);
-}
-
-// ---------------------------------------------------------------------
-// Warmup reset semantics
-// ---------------------------------------------------------------------
-
-TEST(Samplers, WarmupResetDropsSeriesAndRebaselines)
-{
-    auto net = ringNetwork(6, DeadlockScheme::Spin);
-    obs::SamplerConfig scfg;
-    scfg.period = 8;
-    net->enableSampling(scfg);
-    injectRingDeadlock(*net);
-    drain(*net, 5000);
-
-    const obs::NetworkSamplers *s = net->samplers();
-    ASSERT_NE(s, nullptr);
-    ASSERT_GT(s->samplesTaken(), 0u);
-
-    // beginMeasurement drops every warmup sample...
-    net->beginMeasurement();
-    EXPECT_EQ(s->samplesTaken(), 0u);
-    for (RouterId r = 0; r < net->numRouters(); ++r) {
-        EXPECT_EQ(s->routerOccupancy(r).size(), 0u);
-        EXPECT_EQ(s->routerCreditStalls(r).size(), 0u);
-    }
-    for (int l = 0; l < net->numLinks(); ++l)
-        EXPECT_EQ(s->linkUtilization(l).size(), 0u);
-
-    // ...and the samplers keep working afterwards, with window deltas
-    // measured against the post-reset baseline (a busy-fraction above
-    // 1.0 would betray a stale cumulative baseline).
-    injectRingDeadlock(*net);
-    drain(*net, 5000);
-    EXPECT_GT(s->samplesTaken(), 0u);
-    for (int l = 0; l < net->numLinks(); ++l) {
-        const obs::RingSeries &u = s->linkUtilization(l);
-        for (std::size_t i = 0; i < u.size(); ++i) {
-            EXPECT_GE(u.at(i).second, 0.0);
-            EXPECT_LE(u.at(i).second, 1.0);
-        }
-    }
-}
-
-namespace
-{
-
-/** The warmup-reset sampler workload at a given step-loop thread
- *  count, reduced to its full telemetry document. */
-std::string
-sampledTelemetry(int threads)
-{
-    auto net = ringNetwork(6, DeadlockScheme::Spin, 1, 32, threads);
-    obs::SamplerConfig scfg;
-    scfg.period = 8;
-    net->enableSampling(scfg);
-    injectRingDeadlock(*net);
-    drain(*net, 5000);
-    net->beginMeasurement();
-    injectRingDeadlock(*net);
-    drain(*net, 5000);
-    return net->telemetryJson().dump(2);
-}
-
-} // namespace
-
-TEST(Samplers, WarmupResetIdenticalAcrossThreadCounts)
-{
-    // Sampler series are cleared at the warmup boundary and rebuilt
-    // from the post-reset baseline; under sharded stepping the series
-    // (and everything else in the telemetry document) must come out
-    // byte-identical for any thread count (docs/SCALING.md).
-    const std::string base = sampledTelemetry(1);
-    EXPECT_EQ(sampledTelemetry(3), base);
-    EXPECT_EQ(sampledTelemetry(6), base);
-}
-
-TEST(Samplers, RingSeriesClearEmptiesRetainedAndTotal)
-{
-    obs::RingSeries s(4);
-    for (int i = 0; i < 10; ++i)
-        s.push(static_cast<Cycle>(i), i * 1.0);
-    ASSERT_EQ(s.size(), 4u);
-    s.clear();
-    EXPECT_EQ(s.size(), 0u);
-    EXPECT_EQ(s.total(), 0u);
-    // Post-clear pushes behave like a fresh ring (head rewound).
-    s.push(100, 42.0);
-    EXPECT_EQ(s.size(), 1u);
-    EXPECT_EQ(s.at(0).first, 100u);
-    EXPECT_EQ(s.back(), 42.0);
 }
 
 // ---------------------------------------------------------------------

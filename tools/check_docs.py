@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs drift checker (the CI docs-check job).
 
-Two gates, both against the working tree — no build needed:
+Three gates, all against the working tree — no build needed:
 
 1. **Flag coverage** — every CLI flag a bench or tool actually parses
    (the quoted ``--flag`` strings in its ``ArgSpec`` definitions /
@@ -15,6 +15,14 @@ Two gates, both against the working tree — no build needed:
    resolve to an existing file. External (``http...``), anchor-only
    (``#...``) and ``mailto:`` links are ignored; ``path#anchor`` is
    checked for the file part only.
+
+3. **Binary mentions** — every ``bench/<name>``, ``build/bench/<name>``
+   or ``build/tools/<name>`` mentioned in the user guides (README,
+   DESIGN, EXPERIMENTS and ``docs/``) must name a target in ``bench/``,
+   ``tools/`` or ``examples/`` ``CMakeLists.txt`` (a ``bench/<file>``
+   that exists on disk is fine). A command for a removed or renamed
+   binary fails here. The changelog and roadmap record history, so they
+   may name removed binaries.
 
 Exit codes: 0 clean, 2 drift detected (the CI gate), 3 setup error
 (missing files — the checker itself is misconfigured).
@@ -40,15 +48,27 @@ FLAG_TARGETS = [
      ["docs/VERIFICATION.md"], GENERIC),
     ("tools/spin_model.cc",
      ["docs/VERIFICATION.md"], GENERIC),
-    # The classic bench CLI (tables, fig03, fig08a, fig10, ablations,
-    # micro_*) is defined once in BenchUtil.hh; the campaign bench CLI
-    # (fig06/07/08b/09) once in CampaignBench.hh. Both are documented
-    # in the regeneration guide.
+    # The classic bench CLI (fig03, fig08a, ablations, chaos_smoke) is
+    # defined once in BenchUtil.hh and documented in the regeneration
+    # guide. The campaign figures run through spin_sweep.
     ("bench/BenchUtil.hh",
      ["EXPERIMENTS.md", "README.md"], GENERIC),
-    ("bench/CampaignBench.hh",
-     ["EXPERIMENTS.md", "README.md"], GENERIC),
 ]
+
+# CMake files whose targets markdown may name as bench/<name>,
+# build/bench/<name> or build/tools/<name>.
+TARGET_LISTS = ["bench/CMakeLists.txt", "tools/CMakeLists.txt",
+                "examples/CMakeLists.txt"]
+# add_executable(name ...) or a wrapper such as spinnoc_bench(name).
+TARGET_RE = re.compile(r"^\s*(?:add_executable|spinnoc_\w+)\(\s*(\w+)",
+                       re.M)
+# A binary path in prose or a command. The look-behind keeps
+# "perfbench/run.py" from matching; a name followed by a glob or
+# placeholder ("bench/fig*") is not a mention.
+MENTION_RE = re.compile(
+    r"(?<![\w.-])(?:\./)?((?:build/)?(?:bench|tools))/([\w.-]+)"
+    r"(?![\w.*<{$-])")
+GUIDE_PAGES = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
 
 # Documentation scanned for links: every tracked .md at the repo root
 # and under docs/.
@@ -143,6 +163,32 @@ def check_links(root):
     return errors
 
 
+def check_mentions(root):
+    targets = set()
+    for cm in TARGET_LISTS:
+        path = os.path.join(root, cm)
+        if not os.path.exists(path):
+            fail_setup(f"{cm} vanished; update TARGET_LISTS")
+        targets.update(TARGET_RE.findall(read(path)))
+    docs_dir = os.path.normpath(os.path.join(root, "docs"))
+    guides = [os.path.join(root, p) for p in GUIDE_PAGES] + [
+        md for md in md_files(root) if os.path.dirname(md) == docs_dir]
+    errors = []
+    for md in guides:
+        rel = os.path.relpath(md, root)
+        for prefix, name in MENTION_RE.findall(read(md)):
+            if prefix == "tools":
+                continue  # scripts and sources, not binaries
+            if prefix == "bench" and os.path.exists(
+                    os.path.join(root, "bench", name)):
+                continue
+            name = name.rstrip(".-")
+            if name not in targets:
+                errors.append(f"{rel}: '{prefix}/{name}' names no "
+                              f"target in {', '.join(TARGET_LISTS)}")
+    return sorted(set(errors))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=None,
@@ -152,13 +198,14 @@ def main():
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
 
-    errors = check_flags(root) + check_links(root)
+    errors = check_flags(root) + check_links(root) + check_mentions(root)
     if errors:
         print(f"check_docs: {len(errors)} drift issue(s):")
         for e in errors:
             print(f"  {e}")
         print("Document the flag on the binary's page (see "
-              "FLAG_TARGETS in tools/check_docs.py) or fix the link.")
+              "FLAG_TARGETS in tools/check_docs.py), fix the link, or "
+              "point the command at an existing target.")
         return 2
 
     n_targets = len(FLAG_TARGETS)

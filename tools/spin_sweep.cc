@@ -7,7 +7,10 @@
  * Network per cell, and writes the aggregated results JSON. The
  * aggregate is bit-identical for any -j; wall-clock performance is
  * reported separately (stdout and, with --bench-json, as the
- * BENCH_sweep.json baseline record CI gates against).
+ * BENCH_sweep.json baseline record CI gates against). A built-in
+ * figure spec also prints its paper table after the series (the
+ * saturation summary for Figs. 6/7, the link-utilization breakdown for
+ * Fig. 8b, the spin counts for Fig. 9).
  *
  *   spin_sweep --spec fig07 -j4 --out sweep-out/fig07
  *   spin_sweep --spec ci-smoke -j2 --json results.json --resume
@@ -196,7 +199,8 @@ main(int argc, char **argv)
     }
 
     SweepSpec spec;
-    if (!builtinSpec(specArg, spec) &&
+    CampaignReport table = CampaignReport::None;
+    if (!builtinSpec(specArg, spec, &table) &&
         !SweepSpec::fromFile(specArg, spec, err)) {
         std::fprintf(stderr, "spin_sweep: %s\n", err.c_str());
         return 2;
@@ -262,6 +266,7 @@ main(int argc, char **argv)
         return 1;
     }
     printSeries(results);
+    printReport(table, results);
 
     const CampaignPerf &perf = campaign.perf();
     std::printf("== campaign: %zu cells (%zu simulated, %zu cached) in "
