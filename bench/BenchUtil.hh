@@ -6,21 +6,29 @@
  * latency and recovery figures (Figs. 6, 7, 8b, 9) are sweep campaigns
  * and run through `spin_sweep --spec figNN` instead. The flags:
  *
- *   --warmup N, --measure N  injection windows (chaos_smoke only)
  *   --fast           quarter-scale run for smoke testing
  *   --seed N         override the preset's RNG seed
- *   --json PATH      also write the results as machine-readable JSON
- *   --trace PATH     capture a Chrome trace (chrome://tracing /
- *                    Perfetto) of the simulated network (chaos_smoke)
- *   --faults PATH    replace chaos_smoke's built-in fault schedule
- *   --metrics PATH, --metrics-interval N  spin-metrics/v2 JSONL
- *   --profile        per-phase wall-clock attribution
  *   --threads N      threads inside each simulated network
- *   --reliability and its knobs, --wall-limit N
+ *   --reliability and its knobs
  *
- * Unknown flags are rejected with the usage message. The printed rows
- * match the paper's table or figure; absolute numbers differ from the
- * paper's gem5 testbed, the *shape* is what EXPERIMENTS.md validates.
+ * are read by every bench. The rest are opt-in (Options::Reads), and
+ * each bench passes the groups it reads to Options::parse:
+ *
+ *   --warmup N, --measure N  injection windows      chaos_smoke
+ *   --json PATH      machine-readable results       fig03, ablations,
+ *                                                   chaos_smoke
+ *   --trace PATH     Chrome trace (chrome://tracing chaos_smoke
+ *                    / Perfetto) of the network
+ *   --faults PATH    replace the built-in faults    chaos_smoke
+ *   --metrics PATH, --metrics-interval N            fig03, chaos_smoke
+ *                    spin-metrics/v2 JSONL
+ *   --profile        per-phase wall-clock split     fig03
+ *   --wall-limit N   wall-clock watchdog            chaos_smoke
+ *
+ * Unknown flags, and flags the bench does not read, are rejected with
+ * the usage message (exit 2). The printed rows match the paper's table
+ * or figure; absolute numbers differ from the paper's gem5 testbed,
+ * the *shape* is what EXPERIMENTS.md validates.
  */
 
 #ifndef SPINNOC_BENCH_BENCHUTIL_HH
@@ -83,74 +91,127 @@ struct Options
      *  when reliability is on) and fails fast instead of hanging CI. */
     std::uint64_t wallLimit = 0;
 
-    static const char *
-    usage()
+    /**
+     * Flags a bench opts into. Every bench reads --fast, --seed,
+     * --threads and --reliability with its knobs; a flag in a group
+     * the bench does not declare is refused (exit 2), never silently
+     * ignored.
+     */
+    enum Reads : unsigned
     {
-        return "options:\n"
-               "  --warmup N     warmup cycles (chaos_smoke)\n"
-               "  --measure N    measurement cycles (chaos_smoke)\n"
-               "  --fast         quarter-scale smoke run\n"
-               "  --seed N       override the preset RNG seed\n"
-               "  --json PATH    write results as JSON\n"
-               "  --trace PATH   write a Chrome trace of the first "
-               "network\n"
-               "  --faults PATH  inject faults from a spin-faults/v2 "
-               "spec\n"
-               "  --metrics PATH spin-metrics/v2 JSONL of every "
-               "simulated network\n"
-               "  --metrics-interval N  metrics window in cycles "
-               "(default 256)\n"
-               "  --profile      per-phase wall-clock attribution\n"
-               "  --threads N    threads inside each simulated network\n"
-               "                 (default 1; bit-identical results for "
-               "any N)\n"
-               "  --reliability  end-to-end reliable delivery (CRC, "
-               "link retry,\n"
-               "                 NIC retransmission; docs/FAULTS.md)\n"
-               "  --retx-timeout N  base ack timeout in cycles "
-               "(default 512)\n"
-               "  --retx-max N   retransmit attempts before abandoning "
-               "(default 5)\n"
-               "  --link-retries N  per-link retry budget per flit "
-               "(default 3)\n"
-               "  --watchdog N   livelock watchdog budget in cycles\n"
-               "                 (default 100000)\n"
-               "  --wall-limit N fail fast after N wall-clock seconds "
-               "with a\n"
-               "                 telemetry dump (0 = off)\n"
-               "  --help         this message\n";
+        kReadsWindows = 1u << 0,   //!< --warmup, --measure
+        kReadsJson = 1u << 1,      //!< --json
+        kReadsTrace = 1u << 2,     //!< --trace
+        kReadsFaults = 1u << 3,    //!< --faults
+        kReadsMetrics = 1u << 4,   //!< --metrics, --metrics-interval
+        kReadsProfile = 1u << 5,   //!< --profile
+        kReadsWallLimit = 1u << 6, //!< --wall-limit
+        kReadsAll = (1u << 7) - 1,
+    };
+
+    /** One flag: where its value lands, the Reads group a bench must
+     *  declare to accept it (0 = every bench) and its help text. */
+    struct Flag
+    {
+        exp::ArgSpec spec;
+        unsigned needs;
+        const char *help;
+        bool seen = false;
+    };
+
+    /** The flag table, bound to @p o's fields. */
+    static std::vector<Flag>
+    flags(Options &o)
+    {
+        return {
+            {exp::argU64("--warmup", &o.warmup), kReadsWindows,
+             "  --warmup N     warmup cycles\n"},
+            {exp::argU64("--measure", &o.measure), kReadsWindows,
+             "  --measure N    measurement cycles\n"},
+            {exp::argFlag("--fast", &o.fast), 0,
+             "  --fast         quarter-scale smoke run\n"},
+            {exp::argU64("--seed", &o.seed, &o.seedSet), 0,
+             "  --seed N       override the preset RNG seed\n"},
+            {exp::argStr("--json", &o.jsonPath), kReadsJson,
+             "  --json PATH    write results as JSON\n"},
+            {exp::argStr("--trace", &o.tracePath), kReadsTrace,
+             "  --trace PATH   write a Chrome trace of the first network\n"},
+            {exp::argStr("--faults", &o.faultsPath), kReadsFaults,
+             "  --faults PATH  inject faults from a spin-faults/v2 spec\n"},
+            {exp::argStr("--metrics", &o.metricsPath), kReadsMetrics,
+             "  --metrics PATH spin-metrics/v2 JSONL of every simulated "
+             "network\n"},
+            {exp::argU64("--metrics-interval", &o.metricsInterval),
+             kReadsMetrics,
+             "  --metrics-interval N  metrics window in cycles "
+             "(default 256)\n"},
+            {exp::argFlag("--profile", &o.profile), kReadsProfile,
+             "  --profile      per-phase wall-clock attribution\n"},
+            {exp::argU64("--threads", &o.threads), 0,
+             "  --threads N    threads inside each simulated network\n"
+             "                 (default 1; bit-identical results for "
+             "any N)\n"},
+            {exp::argFlag("--reliability", &o.reliability), 0,
+             "  --reliability  end-to-end reliable delivery (CRC, link "
+             "retry,\n"
+             "                 NIC retransmission; docs/FAULTS.md)\n"},
+            {exp::argU64("--retx-timeout", &o.retxTimeout), 0,
+             "  --retx-timeout N  base ack timeout in cycles "
+             "(default 512)\n"},
+            {exp::argU64("--retx-max", &o.retxMax), 0,
+             "  --retx-max N   retransmit attempts before abandoning "
+             "(default 5)\n"},
+            {exp::argU64("--link-retries", &o.linkRetries), 0,
+             "  --link-retries N  per-link retry budget per flit "
+             "(default 3)\n"},
+            {exp::argU64("--watchdog", &o.watchdog), 0,
+             "  --watchdog N   livelock watchdog budget in cycles\n"
+             "                 (default 100000)\n"},
+            {exp::argU64("--wall-limit", &o.wallLimit), kReadsWallLimit,
+             "  --wall-limit N fail fast after N wall-clock seconds with "
+             "a\n"
+             "                 telemetry dump (0 = off)\n"},
+        };
+    }
+
+    /** Usage text listing the flags of a bench that declares @p reads. */
+    static std::string
+    usage(unsigned reads = kReadsAll)
+    {
+        Options scratch;
+        std::string text = "options:\n";
+        for (const Flag &f : flags(scratch)) {
+            if ((f.needs & reads) == f.needs)
+                text += f.help;
+        }
+        return text + "  --help         this message\n";
     }
 
     /**
      * Testable parser core, built on exp::ArgParse: unknown flags,
-     * missing values and malformed numerics all fail with @p err set;
-     * never exits. "--help" is treated as an error here so parse() can
-     * special-case it.
+     * flags outside @p reads, missing values and malformed numerics all
+     * fail with @p err set; never exits. "--help" is treated as an
+     * error here so parse() can special-case it.
      */
     static bool
-    parseInto(Options &o, int argc, char **argv, std::string &err)
+    parseInto(Options &o, int argc, char **argv, std::string &err,
+              unsigned reads = kReadsAll)
     {
-        const std::vector<exp::ArgSpec> specs = {
-            exp::argU64("--warmup", &o.warmup),
-            exp::argU64("--measure", &o.measure),
-            exp::argU64("--seed", &o.seed, &o.seedSet),
-            exp::argStr("--json", &o.jsonPath),
-            exp::argStr("--trace", &o.tracePath),
-            exp::argStr("--faults", &o.faultsPath),
-            exp::argStr("--metrics", &o.metricsPath),
-            exp::argU64("--metrics-interval", &o.metricsInterval),
-            exp::argFlag("--profile", &o.profile),
-            exp::argU64("--threads", &o.threads),
-            exp::argFlag("--reliability", &o.reliability),
-            exp::argU64("--retx-timeout", &o.retxTimeout),
-            exp::argU64("--retx-max", &o.retxMax),
-            exp::argU64("--link-retries", &o.linkRetries),
-            exp::argU64("--watchdog", &o.watchdog),
-            exp::argU64("--wall-limit", &o.wallLimit),
-            exp::argFlag("--fast", &o.fast),
-        };
+        std::vector<Flag> table = flags(o);
+        std::vector<exp::ArgSpec> specs;
+        for (Flag &f : table) {
+            if (f.needs != 0)
+                f.spec.seen = &f.seen;
+            specs.push_back(f.spec);
+        }
         if (!exp::parseArgs(argc, argv, specs, err))
             return false;
+        for (const Flag &f : table) {
+            if (f.seen && (f.needs & reads) != f.needs) {
+                err = f.spec.name + " is not read by this bench";
+                return false;
+            }
+        }
         if (o.fast) {
             o.warmup /= 4;
             o.measure /= 4;
@@ -158,22 +219,23 @@ struct Options
         return true;
     }
 
-    /** CLI entry: parse or die with the usage message. */
+    /** CLI entry for a bench that declares @p reads: parse or die
+     *  with the usage message. */
     static Options
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, unsigned reads)
     {
         for (int i = 1; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--help") ||
                 !std::strcmp(argv[i], "-h")) {
-                std::printf("%s", usage());
+                std::printf("%s", usage(reads).c_str());
                 std::exit(0);
             }
         }
         Options o;
         std::string err;
-        if (!parseInto(o, argc, argv, err)) {
+        if (!parseInto(o, argc, argv, err, reads)) {
             std::fprintf(stderr, "%s: %s\n%s", argv[0], err.c_str(),
-                         usage());
+                         usage(reads).c_str());
             std::exit(2);
         }
         return o;

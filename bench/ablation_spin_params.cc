@@ -92,7 +92,8 @@ meshThroughput(Cycle t_dd, Cycle measure, const Options &opt)
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
+    const Options opt =
+        Options::parse(argc, argv, Options::kReadsJson);
     const Cycle measure = opt.fast ? 3000 : 10000;
 
     BenchReporter report("ablation_spin_params", opt);

@@ -66,7 +66,11 @@ struct FlowAudit
 int
 main(int argc, char **argv)
 {
-    Options opt = Options::parse(argc, argv);
+    Options opt = Options::parse(
+        argc, argv,
+        Options::kReadsWindows | Options::kReadsJson | Options::kReadsTrace |
+            Options::kReadsFaults | Options::kReadsMetrics |
+            Options::kReadsWallLimit);
     // The point of the bench is the protocol; it is not optional here.
     opt.reliability = true;
 

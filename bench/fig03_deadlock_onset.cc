@@ -108,7 +108,10 @@ onsetSweep(const char *label, const std::shared_ptr<const Topology> &topo,
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
+    const Options opt =
+        Options::parse(argc, argv,
+                       Options::kReadsJson | Options::kReadsMetrics |
+                           Options::kReadsProfile);
     const Cycle mesh_cycles = opt.fast ? 5000 : 20000;
     const Cycle dfly_cycles = opt.fast ? 2000 : 6000;
 

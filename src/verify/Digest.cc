@@ -28,27 +28,42 @@ rel(Cycle abs, Cycle now)
     return static_cast<std::int64_t>(now) - static_cast<std::int64_t>(abs);
 }
 
-int
-mapped(const std::vector<int> &perm, RouterId r)
+/** The router renaming r -> (r + shift) mod n and its inverse. */
+struct Rotation
 {
-    if (r == kInvalidId || r < 0 ||
-        r >= static_cast<RouterId>(perm.size())) {
-        return -1;
+    int n;
+    int shift;
+
+    /** Canonical index of @p r; -1 for ids outside the network. */
+    int
+    to(RouterId r) const
+    {
+        if (r < 0 || r >= n)
+            return -1;
+        const int c = r + shift;
+        return c < n ? c : c - n;
     }
-    return perm[r];
-}
+
+    /** The router renamed to canonical index @p c. */
+    RouterId
+    from(int c) const
+    {
+        const int r = c - shift;
+        return r >= 0 ? r : r + n;
+    }
+};
 
 void
-hashPacket(Fnv &h, const Packet &p, const std::vector<int> &perm)
+hashPacket(Hasher &h, const Packet &p, const Rotation &rot)
 {
     // Identity-free normalization: two packets with the same source,
     // destination, class, size and routing phase are interchangeable.
-    h.i64(mapped(perm, p.src));
-    h.i64(mapped(perm, p.dest));
+    h.i64(rot.to(p.src));
+    h.i64(rot.to(p.dest));
     h.u64(static_cast<std::uint64_t>(p.vnet));
     h.u64(static_cast<std::uint64_t>(p.sizeFlits));
     h.u64(static_cast<std::uint64_t>(p.hops));
-    h.i64(mapped(perm, p.intermediate));
+    h.i64(rot.to(p.intermediate));
     h.b(p.phaseTwo);
     h.u64(static_cast<std::uint64_t>(p.misroutes));
     h.u64(static_cast<std::uint64_t>(p.globalHops));
@@ -56,11 +71,10 @@ hashPacket(Fnv &h, const Packet &p, const std::vector<int> &perm)
 }
 
 void
-hashSm(Fnv &h, const SpecialMsg &sm, Cycle now,
-       const std::vector<int> &perm)
+hashSm(Hasher &h, const SpecialMsg &sm, Cycle now, const Rotation &rot)
 {
     h.u64(static_cast<std::uint64_t>(sm.type));
-    h.i64(mapped(perm, sm.sender));
+    h.i64(rot.to(sm.sender));
     h.u64(static_cast<std::uint64_t>(sm.vnet));
     h.i64(rel(sm.sendCycle, now));
     h.u64(sm.path.size());
@@ -73,29 +87,21 @@ hashSm(Fnv &h, const SpecialMsg &sm, Cycle now,
 } // namespace
 
 std::uint64_t
-digestNetwork(Network &net, const std::vector<int> &perm_in)
+digestNetwork(Network &net, int rotation)
 {
     const int n = net.numRouters();
-    std::vector<int> perm = perm_in;
-    if (perm.empty()) {
-        perm.resize(n);
-        for (int r = 0; r < n; ++r)
-            perm[r] = r;
-    }
-    SPIN_ASSERT(static_cast<int>(perm.size()) == n, "bad perm size");
-    std::vector<int> inv(n, -1);
-    for (int r = 0; r < n; ++r)
-        inv[perm[r]] = r;
+    SPIN_ASSERT(rotation >= 0 && rotation < n, "bad rotation ", rotation);
+    const Rotation rot{n, rotation};
 
     const Cycle now = net.now();
     const int vcs = net.config().totalVcs();
     SpinManager *mgr = net.spinManager();
     const fault::FaultInjector *fi = net.faults();
-    Fnv h;
+    Hasher h;
 
     // Routers, in canonical order.
     for (int c = 0; c < n; ++c) {
-        const RouterId r = inv[c];
+        const RouterId r = rot.from(c);
         Router &rt = net.router(r);
         h.b(rt.dead());
         if (mgr)
@@ -123,9 +129,9 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
                     // arrivals are all equivalent.
                     h.b(f.arrivedAt == now);
                     if (f.pkt)
-                        hashPacket(h, *f.pkt, perm);
+                        hashPacket(h, *f.pkt, rot);
                 } else if (vc.owner()) {
-                    hashPacket(h, *vc.owner(), perm);
+                    hashPacket(h, *vc.owner(), rot);
                 }
             }
             const OutputUnit &ou = rt.output(p);
@@ -145,7 +151,7 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
             h.i64(s.ptrInport);
             h.i64(s.ptrVc);
             h.b(s.victimActive);
-            h.i64(mapped(perm, s.victimSource));
+            h.i64(rot.to(s.victimSource));
             h.i64(s.spinIn);
             h.b(s.loopValid);
             h.u64(s.loopPath.size());
@@ -164,52 +170,48 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
     }
 
     // Links, ordered by (canonical source, source port).
-    std::vector<int> order(static_cast<std::size_t>(net.numLinks()));
-    for (int li = 0; li < net.numLinks(); ++li)
-        order[li] = li;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-        const LinkSpec &sa = net.link(a).spec();
-        const LinkSpec &sb = net.link(b).spec();
-        if (perm[sa.src] != perm[sb.src])
-            return perm[sa.src] < perm[sb.src];
-        return sa.srcPort < sb.srcPort;
-    });
-    for (const int li : order) {
-        const Link &l = net.link(li);
-        h.b(l.failed());
-        h.i64(rel(l.flitBusyUntil(), now));
-        h.b(l.smBusyAt() == now);
-        l.forEachFlit([&](Cycle arrival, const LinkFlit &lf) {
-            h.i64(rel(arrival, now));
-            h.i64(lf.vc);
-            h.i64(lf.flit.seq);
-            if (lf.flit.pkt)
-                hashPacket(h, *lf.flit.pkt, perm);
-        });
-        l.forEachCredit([&](Cycle arrival, const CreditMsg &cm) {
-            h.i64(rel(arrival, now));
-            h.i64(cm.vc);
-            h.b(cm.isFree);
-        });
+    for (int c = 0; c < n; ++c) {
+        const RouterId r = rot.from(c);
+        for (PortId p = 0; p < net.router(r).radix(); ++p) {
+            const int li = net.linkIndexOf(r, p);
+            if (li < 0)
+                continue;
+            const Link &l = net.link(li);
+            h.b(l.failed());
+            h.i64(rel(l.flitBusyUntil(), now));
+            h.b(l.smBusyAt() == now);
+            l.forEachFlit([&](Cycle arrival, const LinkFlit &lf) {
+                h.i64(rel(arrival, now));
+                h.i64(lf.vc);
+                h.i64(lf.flit.seq);
+                if (lf.flit.pkt)
+                    hashPacket(h, *lf.flit.pkt, rot);
+            });
+            l.forEachCredit([&](Cycle arrival, const CreditMsg &cm) {
+                h.i64(rel(arrival, now));
+                h.i64(cm.vc);
+                h.b(cm.isFree);
+            });
+        }
     }
 
     // NICs, in canonical node order (node id == router id on the
     // scenario topologies; asserted for non-identity renamings).
     for (int c = 0; c < net.numNodes(); ++c) {
         const NodeId nid =
-            net.numNodes() == n ? inv[c] : static_cast<NodeId>(c);
+            net.numNodes() == n ? rot.from(c) : static_cast<NodeId>(c);
         Nic &nic = net.nic(nid);
         h.u64(nic.queueLength());
         h.u64(nic.streamRemaining());
         h.i64(nic.streamVc());
         nic.forEachQueued(
-            [&](const Packet &p) { hashPacket(h, p, perm); });
+            [&](const Packet &p) { hashPacket(h, p, rot); });
         nic.forEachInjFlit([&](Cycle arrival, const LinkFlit &lf) {
             h.i64(rel(arrival, now));
             h.i64(lf.vc);
             h.i64(lf.flit.seq);
             if (lf.flit.pkt)
-                hashPacket(h, *lf.flit.pkt, perm);
+                hashPacket(h, *lf.flit.pkt, rot);
         });
         nic.forEachEjectFlit([&](Cycle arrival, const Flit &f) {
             h.i64(rel(arrival, now));
@@ -235,8 +237,8 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
                       const SmSubstrate::InFlight &b) {
                       const LinkSpec &sa = net.link(a.link).spec();
                       const LinkSpec &sb = net.link(b.link).spec();
-                      if (perm[sa.src] != perm[sb.src])
-                          return perm[sa.src] < perm[sb.src];
+                      if (sa.src != sb.src)
+                          return rot.to(sa.src) < rot.to(sb.src);
                       if (sa.srcPort != sb.srcPort)
                           return sa.srcPort < sb.srcPort;
                       return a.arriveIn < b.arriveIn;
@@ -244,18 +246,18 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
         h.u64(sub.inFlight.size());
         for (const auto &f : sub.inFlight) {
             const LinkSpec &spec = net.link(f.link).spec();
-            h.i64(perm[spec.src]);
+            h.i64(rot.to(spec.src));
             h.i64(spec.srcPort);
             h.i64(f.arriveIn);
-            hashSm(h, f.sm, now, perm);
+            hashSm(h, f.sm, now, rot);
         }
         std::sort(sub.pending.begin(), sub.pending.end(),
                   [&](const SmSubstrate::Pending &a,
                       const SmSubstrate::Pending &b) {
                       if (a.dueIn != b.dueIn)
                           return a.dueIn < b.dueIn;
-                      if (perm[a.send.from] != perm[b.send.from])
-                          return perm[a.send.from] < perm[b.send.from];
+                      if (a.send.from != b.send.from)
+                          return rot.to(a.send.from) < rot.to(b.send.from);
                       if (a.send.outport != b.send.outport)
                           return a.send.outport < b.send.outport;
                       return a.send.sm.type < b.send.sm.type;
@@ -263,16 +265,16 @@ digestNetwork(Network &net, const std::vector<int> &perm_in)
         h.u64(sub.pending.size());
         for (const auto &p : sub.pending) {
             h.i64(p.dueIn);
-            h.i64(perm[p.send.from]);
+            h.i64(rot.to(p.send.from));
             h.i64(p.send.outport);
-            hashSm(h, p.send.sm, now, perm);
+            hashSm(h, p.send.sm, now, rot);
         }
     }
 
     // Fault state beyond the per-component flags hashed above.
     if (fi) {
         for (int c = 0; c < n; ++c)
-            h.b(fi->routerDead(inv[c]));
+            h.b(fi->routerDead(rot.from(c)));
     }
     h.u64(net.packetsInFlight());
     return h.value();
@@ -287,12 +289,8 @@ canonicalDigest(Network &net, bool ring_symmetry)
     SPIN_ASSERT(net.numNodes() == n,
                 "ring symmetry requires one NIC per router");
     std::uint64_t best = ~0ull;
-    std::vector<int> perm(static_cast<std::size_t>(n));
-    for (int k = 0; k < n; ++k) {
-        for (int r = 0; r < n; ++r)
-            perm[r] = (r + k) % n;
-        best = std::min(best, digestNetwork(net, perm));
-    }
+    for (int k = 0; k < n; ++k)
+        best = std::min(best, digestNetwork(net, k));
     return best;
 }
 

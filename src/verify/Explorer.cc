@@ -64,7 +64,7 @@ struct ExploreState
 std::uint64_t
 foldVerdict(std::uint64_t salt, const SmSend &send, int nth, SmAction a)
 {
-    Fnv f;
+    Hasher f;
     f.u64(salt);
     f.u64(static_cast<std::uint64_t>(send.sm.type));
     f.i64(send.sm.sender);
@@ -113,6 +113,10 @@ runOnce(const Scenario &sc, const RunSpec &spec, const ExplorerOptions &opt,
     const Cycle horizon = horizonFor(sc, *mgr, spec);
     const int remaining =
         std::max(0, opt.budget - static_cast<int>(spec.choices.size()));
+    // An explored child replays its parent's run exactly until the
+    // cycle of its appended choice; see "Check-once" in Explorer.hh.
+    const Cycle divergeAt =
+        ex && !spec.choices.empty() ? spec.choices.back().cycle : 0;
 
     RunOutcome out;
     out.violation.run = spec;
@@ -148,9 +152,9 @@ runOnce(const Scenario &sc, const RunSpec &spec, const ExplorerOptions &opt,
                 foldVerdict(cycleSalt, send, nth, spec.choices[i].action);
             return spec.choices[i].action;
         }
-        if (ex && remaining > 0) {
+        if (ex && remaining > 0 && hnow >= divergeAt) {
             for (const SmAction a : {SmAction::Delay, SmAction::Drop}) {
-                Fnv key;
+                Hasher key;
                 key.u64(cycleDigest);
                 key.u64(cycleSalt);
                 key.u64(static_cast<std::uint64_t>(send.sm.type));
@@ -194,6 +198,13 @@ runOnce(const Scenario &sc, const RunSpec &spec, const ExplorerOptions &opt,
             break;
         }
 
+        // Replayed prefix: step only, the parent checked these states.
+        if (now < divergeAt) {
+            net->step();
+            ++out.cycles;
+            continue;
+        }
+
         const bool allConsumed =
             std::find(consumed.begin(), consumed.end(), char{0}) ==
             consumed.end();
@@ -203,7 +214,7 @@ runOnce(const Scenario &sc, const RunSpec &spec, const ExplorerOptions &opt,
                 // A scheduled-but-unfired fault is invisible to the
                 // network state; distinguish roots that only differ in
                 // when the fault will strike.
-                Fnv f;
+                Hasher f;
                 f.u64(cycleDigest);
                 f.u64(spec.faultCycle - now);
                 cycleDigest = f.value();

@@ -23,14 +23,31 @@
  *    with at least as much remaining budget (visited-state dedup; ring
  *    scenarios additionally canonicalize over rotations).
  *
- * Checked on every cycle of every run: the runtime flit/credit/freeze
+ * Checked once on every explored state: the runtime flit/credit/freeze
  * auditor (deadlock/Invariants.hh) extended with verification-only
  * invariants, the Fig. 4a FSM transition relation, and per-source
- * committed-spin uniqueness. Checked at the horizon: bounded liveness
- * -- every packet must drain within formation + (k + 2 + budget) full
- * priority rotations, k = m - 1 being the paper's spin bound for
- * minimal routing (Theorem 1, p = 0). Checked at quiescence: flit
- * conservation (ejected + fault-lost == offered).
+ * committed-spin uniqueness.
+ *
+ * Check-once. The walk is a FIFO BFS and a child's choices are its
+ * parent's plus one appended choice at cycle c, so the parent has run
+ * to completion before the child starts, and on every cycle before c
+ * the child replays the parent's states exactly (the appended choice
+ * cannot match earlier). On those cycles the parent already digested,
+ * audited and transition-checked each state and found it clean and
+ * not yet quiescent (it was still running at c); every decision key
+ * the child could insert is already in the dedup set (the parent had
+ * one more unit of budget); and the appended choice is unconsumed, so
+ * nothing enters the visited trail and nothing can be pruned. An
+ * explored child therefore only steps the network there -- the
+ * interceptor still matches choices -- and digests, checks and
+ * branches from cycle c on. Roots, replay() and minimize() check
+ * every cycle of their run.
+ *
+ * Checked at the horizon: bounded liveness -- every packet must drain
+ * within formation + (k + 2 + budget) full priority rotations, k = m - 1
+ * being the paper's spin bound for minimal routing (Theorem 1, p = 0).
+ * Checked at quiescence: flit conservation (ejected + fault-lost ==
+ * offered).
  */
 
 #ifndef SPINNOC_VERIFY_EXPLORER_HH

@@ -516,6 +516,28 @@ TEST(BenchOptions, ParsesAllFlags)
     EXPECT_EQ(o.tracePath, "t.json");
 }
 
+TEST(BenchOptions, RefusesFlagsTheBenchDoesNotRead)
+{
+    // A bench reading only --json (plus the flags every bench reads)
+    // must refuse --trace by name rather than accept and ignore it.
+    std::vector<const char *> argv = {"bench", "--fast", "--json", "o.json",
+                                      "--trace", "t.json"};
+    bench::Options o;
+    std::string err;
+    EXPECT_FALSE(bench::Options::parseInto(
+        o, static_cast<int>(argv.size()), const_cast<char **>(argv.data()),
+        err, bench::Options::kReadsJson));
+    EXPECT_NE(err.find("--trace"), std::string::npos) << err;
+
+    argv.resize(4);
+    err.clear();
+    EXPECT_TRUE(bench::Options::parseInto(
+        o, static_cast<int>(argv.size()), const_cast<char **>(argv.data()),
+        err, bench::Options::kReadsJson))
+        << err;
+    EXPECT_EQ(o.jsonPath, "o.json");
+}
+
 TEST(BenchOptions, FastQuartersWindowsAndSeedAppliesToPreset)
 {
     bool ok = false;

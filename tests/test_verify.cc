@@ -230,6 +230,96 @@ TEST(VerifyExplorer, MutationIsConvictedWithMinimalTrace)
     EXPECT_EQ(rep.violation.cycle, minimal.cycle);
 }
 
+// Exact exploration counts. Every one of them moves if a digest
+// collision merges two states, or if a child run's skipped prefix (the
+// cycles it replays from its parent) hid a decision key, a visited
+// state or a violation. Budget 2 runs grandchildren, whose prefix
+// already holds one perturbation.
+struct PinnedSpace
+{
+    const char *scenario;
+    std::uint64_t runs, states, pruned, choicePoints, cycles;
+};
+
+TEST(VerifyExplorer, BudgetTwoStateSpaceIsPinned)
+{
+    const PinnedSpace want[] = {
+        {"ring4", 253, 1657, 230, 252, 16817},
+        {"shared8", 307, 1664, 285, 306, 19296},
+        {"fault-ring4", 2000, 11447, 1819, 1990, 124253},
+        {"dual-torus8", 909, 4390, 822, 908, 38594},
+    };
+    for (const PinnedSpace &w : want) {
+        SCOPED_TRACE(w.scenario);
+        const Scenario *sc = findScenario(w.scenario);
+        ASSERT_NE(sc, nullptr);
+        ExplorerOptions opt;
+        opt.budget = 2;
+        const ExploreResult res = explore(*sc, opt);
+        EXPECT_TRUE(res.exhausted);
+        EXPECT_TRUE(res.violations.empty());
+        EXPECT_EQ(res.runs, w.runs);
+        EXPECT_EQ(res.statesVisited, w.states);
+        EXPECT_EQ(res.prunedRuns, w.pruned);
+        EXPECT_EQ(res.choicePoints, w.choicePoints);
+        EXPECT_EQ(res.cyclesSimulated, w.cycles);
+    }
+}
+
+struct PinnedConviction
+{
+    const char *scenario;
+    std::uint64_t runs, states, pruned, violations;
+    bool exhausted;
+};
+
+TEST(VerifyExplorer, MutationConvictionsArePinned)
+{
+    // Convictions land inside children's checked suffixes; fault-ring4
+    // stops early at the default maxViolations (8).
+    const PinnedConviction want[] = {
+        {"ring4", 33, 292, 26, 1, true},
+        {"shared8", 37, 295, 30, 1, true},
+        {"fault-ring4", 148, 1496, 114, 8, false},
+        {"dual-torus8", 65, 436, 52, 2, true},
+    };
+    for (const PinnedConviction &w : want) {
+        SCOPED_TRACE(w.scenario);
+        const Scenario *sc = findScenario(w.scenario);
+        ASSERT_NE(sc, nullptr);
+        ExplorerOptions opt;
+        opt.budget = 1;
+        opt.mutation = ProtocolMutation::SkipCancelUnfreeze;
+        const ExploreResult res = explore(*sc, opt);
+        EXPECT_EQ(res.runs, w.runs);
+        EXPECT_EQ(res.statesVisited, w.states);
+        EXPECT_EQ(res.prunedRuns, w.pruned);
+        EXPECT_EQ(res.violations.size(), w.violations);
+        EXPECT_EQ(res.exhausted, w.exhausted);
+    }
+}
+
+TEST(VerifyExplorer, DualTorusConvictionMinimizesToOneDroppedMove)
+{
+    const Scenario *sc = findScenario("dual-torus8");
+    ASSERT_NE(sc, nullptr);
+    ExplorerOptions opt;
+    opt.budget = 1;
+    opt.mutation = ProtocolMutation::SkipCancelUnfreeze;
+    const ExploreResult res = explore(*sc, opt);
+    ASSERT_FALSE(res.violations.empty());
+    const Violation minimal = minimize(*sc, res.violations.front());
+    ASSERT_EQ(minimal.run.choices.size(), 1u);
+    EXPECT_EQ(minimal.run.choices[0].cycle, 28u);
+    EXPECT_EQ(minimal.run.choices[0].type, SmType::Move);
+    EXPECT_EQ(minimal.run.choices[0].action, SmAction::Drop);
+
+    const ReplayResult rep = replay(*sc, minimal.run);
+    ASSERT_TRUE(rep.violated);
+    EXPECT_EQ(rep.violation.kind, "audit");
+    EXPECT_EQ(rep.violation.cycle, 34u);
+}
+
 // ---------------------------------------------------------------------
 // Traces
 // ---------------------------------------------------------------------

@@ -13,11 +13,13 @@
  * collisions, kill_moves, fault-induced aborts -- by delaying or
  * dropping special messages at every launch point up to a perturbation
  * budget. Visited states are deduplicated by a canonical digest
- * (rotation-symmetric on rings), every cycle of every run is audited
+ * (rotation-symmetric on rings), every explored state is audited once
  * (flit conservation, frozen-VC bookkeeping, Fig. 4a transitions,
- * one-spin-per-loop), and every run must drain within the paper's
- * k = m*p + (m-1) spin bound. Violations come back as minimized,
- * deterministically replayable traces (spin-model-trace/v1).
+ * one-spin-per-loop) -- a child run steps unchecked through the prefix
+ * its parent already checked, see src/verify/Explorer.hh -- and every
+ * run must drain within the paper's k = m*p + (m-1) spin bound.
+ * Violations come back as minimized, deterministically replayable
+ * traces (spin-model-trace/v1).
  *
  * Examples:
  *   spin_model                                   # verify all scenarios
@@ -295,7 +297,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(totalViolations));
         return 1;
     }
-    if (!o.quiet)
-        std::printf("spin_model: all scenarios verified clean\n");
+    std::printf("spin_model: all scenarios verified clean\n");
     return 0;
 }
